@@ -164,38 +164,61 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                    help="checkpoint-rollback budget for the whole run")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.problems import GaussianPulseProblem
-    from repro.v2d import Simulation, V2DConfig, run_parallel
+def _add_grid_flags(
+    p: argparse.ArgumentParser,
+    nx1: int = 48, nx2: int = 48, nsteps: int = 5, precond: str = "spai",
+) -> None:
+    """The grid/topology/solver flags ``run``, ``trace`` and ``chaos`` share."""
+    p.add_argument("--nx1", type=int, default=nx1)
+    p.add_argument("--nx2", type=int, default=nx2)
+    p.add_argument("--nsteps", type=int, default=nsteps)
+    p.add_argument("--dt", type=float, default=2e-4)
+    p.add_argument("--nprx1", type=int, default=1)
+    p.add_argument("--nprx2", type=int, default=1)
+    _add_backend_flag(p)
+    p.add_argument("--precond", choices=("spai", "jacobi", "none"), default=precond)
+    p.add_argument("--tol", type=float, default=1e-10)
+    _add_transport_flag(p)
 
-    cfg = V2DConfig(
+
+def _config_from_args(args: argparse.Namespace, **overrides):
+    """The V2DConfig the shared flags describe, plus per-verb fields."""
+    from repro.v2d import V2DConfig
+
+    return V2DConfig(
         nx1=args.nx1, nx2=args.nx2, nsteps=args.nsteps, dt=args.dt,
         nprx1=args.nprx1, nprx2=args.nprx2,
-        backend=args.backend, precond=args.precond,
+        backend=args.backend, precond=args.precond, solver_tol=args.tol,
+        transport=_resolve_transport(args),
+        **overrides,
+    )
+
+
+def _launch(args: argparse.Namespace, **overrides):
+    """Run the Gaussian pulse on every rank of the configured topology."""
+    from repro.problems import GaussianPulseProblem
+    from repro.v2d import run_parallel
+
+    with _run_sampler(args):
+        return run_parallel(_config_from_args(args, **overrides), GaussianPulseProblem())
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    reports = _launch(
+        args,
         ganged=not args.classic, fused=not args.unfused,
-        solver_tol=args.tol,
         checkpoint_path=args.checkpoint_path,
         checkpoint_interval=args.checkpoint_interval,
         resilience=_make_resilience(args),
-        trace=bool(getattr(args, "trace", None)),
-        transport=_resolve_transport(args),
+        trace=bool(args.trace),
     )
-    problem = GaussianPulseProblem()
-    with _run_sampler(args):
-        if cfg.nranks == 1:
-            reports = [Simulation(cfg, problem).run()]
-        else:
-            reports = run_parallel(cfg, problem)
     report = reports[0]
     print(report.summary())
     if args.profile:
         print()
         print(report.flat_profile())
-    if getattr(args, "trace", None):
-        code = _export_run_trace(reports, args.trace, problem.name)
-        if code != 0:
-            return code
-    return 0 if report.all_converged else 1
+    code = _export_run_trace(reports, args.trace) if args.trace else 0
+    return code or (0 if report.all_converged else 1)
 
 
 def _run_sampler(args: argparse.Namespace):
@@ -215,19 +238,17 @@ def _run_sampler(args: argparse.Namespace):
     return telemetry.Telemetry(path, interval=1.0)
 
 
-def _export_run_trace(reports, path: str, problem_name: str) -> int:
+def _export_run_trace(reports, path: str) -> int:
     """Merge per-rank tracers, validate, write; 0 on a clean trace."""
-    import sys as _sys
-
     from repro.monitor.trace import merged_payload, validate_trace, write_trace
 
     tracers = [rep.tracer for rep in reports if rep.tracer is not None]
     if not tracers:
-        print("repro: no tracer attached to any rank report", file=_sys.stderr)
+        print("repro: no tracer attached to any rank report", file=sys.stderr)
         return 1
     payload = merged_payload(
         tracers,
-        metadata={"problem": problem_name, "nranks": len(reports)},
+        metadata={"problem": reports[0].problem_name, "nranks": len(reports)},
     )
     problems = validate_trace(payload)
     out = write_trace(payload, path)
@@ -235,9 +256,9 @@ def _export_run_trace(reports, path: str, problem_name: str) -> int:
     print(f"wrote {out}: {nevents} events over {len(tracers)} rank track(s)")
     if problems:
         print(f"trace validation failed ({len(problems)} problem(s)):",
-              file=_sys.stderr)
+              file=sys.stderr)
         for msg in problems[:10]:
-            print(f"  {msg}", file=_sys.stderr)
+            print(f"  {msg}", file=sys.stderr)
         return 1
     return 0
 
@@ -245,23 +266,9 @@ def _export_run_trace(reports, path: str, problem_name: str) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run the Gaussian pulse with tracing armed and export the timeline."""
     from repro.monitor.trace import merge_summaries
-    from repro.problems import GaussianPulseProblem
-    from repro.v2d import Simulation, V2DConfig, run_parallel
 
-    cfg = V2DConfig(
-        nx1=args.nx1, nx2=args.nx2, nsteps=args.nsteps, dt=args.dt,
-        nprx1=args.nprx1, nprx2=args.nprx2,
-        backend=args.backend, precond=args.precond,
-        solver_tol=args.tol,
-        trace=True,
-        transport=_resolve_transport(args),
-    )
-    problem = GaussianPulseProblem()
-    if cfg.nranks == 1:
-        reports = [Simulation(cfg, problem).run()]
-    else:
-        reports = run_parallel(cfg, problem)
-    code = _export_run_trace(reports, args.output, problem.name)
+    reports = _launch(args, trace=True)
+    code = _export_run_trace(reports, args.output)
 
     tracers = [rep.tracer for rep in reports if rep.tracer is not None]
     summary = merge_summaries([t.summary() for t in tracers])
@@ -276,9 +283,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{name} x{n}" for name, n in sorted(summary["instants"].items())
         )
         print(f"  instants: {marks}")
-    if code != 0:
-        return code
-    return 0 if reports[0].all_converged else 1
+    return code or (0 if reports[0].all_converged else 1)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -290,24 +295,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """
     import tempfile
 
-    from repro.problems import GaussianPulseProblem
     from repro.resilience import ResilienceReport
-    from repro.v2d import Simulation, V2DConfig, run_parallel
 
-    problem = GaussianPulseProblem()
-    common = dict(
-        nx1=args.nx1, nx2=args.nx2, nsteps=args.nsteps, dt=args.dt,
-        nprx1=args.nprx1, nprx2=args.nprx2, precond=args.precond,
-        backend=args.backend, solver_tol=args.tol, profile=False,
-        transport=_resolve_transport(args),
-    )
-
-    def execute(cfg: V2DConfig):
-        if cfg.nranks == 1:
-            return [Simulation(cfg, problem).run()]
-        return run_parallel(cfg, problem)
-
-    baseline = execute(V2DConfig(**common))[0]
+    baseline = _launch(args, profile=False)[0]
     err_ref = baseline.solution_error
     print(f"baseline: error {err_ref:.6e}, "
           f"energy {baseline.final_energy:.6e}")
@@ -317,13 +307,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("chaos: no fault rates given (--inject) -- nothing to sweep")
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = V2DConfig(
-            **common,
+        reports = _launch(
+            args,
+            profile=False,
             checkpoint_path=f"{tmp}/chaos-ck",
             checkpoint_interval=max(1, args.nsteps // 4),
             resilience=rc,
         )
-        reports = execute(cfg)
 
     merged = ResilienceReport()
     for rep in reports:
@@ -451,19 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_scaling)
 
     p = sub.add_parser("run", help="run the Gaussian-pulse problem")
-    p.add_argument("--nx1", type=int, default=48)
-    p.add_argument("--nx2", type=int, default=48)
-    p.add_argument("--nsteps", type=int, default=5)
-    p.add_argument("--dt", type=float, default=2e-4)
-    p.add_argument("--nprx1", type=int, default=1)
-    p.add_argument("--nprx2", type=int, default=1)
-    _add_backend_flag(p)
-    p.add_argument("--precond", choices=("spai", "jacobi", "none"), default="spai")
+    _add_grid_flags(p)
     p.add_argument("--classic", action="store_true",
                    help="textbook BiCGSTAB instead of ganged reductions")
     p.add_argument("--unfused", action="store_true",
                    help="separate kernel launches instead of the fused hot path")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--profile", action="store_true")
     p.add_argument("--checkpoint-path", default=None)
     p.add_argument("--checkpoint-interval", type=int, default=0)
@@ -473,7 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="arm live telemetry and sample OpenMetrics to "
                         "PATH every second (poll with `repro top --file`)")
-    _add_transport_flag(p)
     _add_resilience_flags(p)
     p.set_defaults(fn=_cmd_run)
 
@@ -481,36 +462,17 @@ def main(argv: list[str] | None = None) -> int:
         "trace",
         help="traced Gaussian-pulse run exporting a Perfetto timeline",
     )
-    p.add_argument("--nx1", type=int, default=48)
-    p.add_argument("--nx2", type=int, default=48)
-    p.add_argument("--nsteps", type=int, default=5)
-    p.add_argument("--dt", type=float, default=2e-4)
-    p.add_argument("--nprx1", type=int, default=1)
-    p.add_argument("--nprx2", type=int, default=1)
-    _add_backend_flag(p)
-    p.add_argument("--precond", choices=("spai", "jacobi", "none"), default="spai")
-    p.add_argument("--tol", type=float, default=1e-10)
+    _add_grid_flags(p)
     p.add_argument("--output", default="trace.json",
                    help="trace artifact path (default: trace.json)")
-    _add_transport_flag(p)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
         "chaos", help="seeded fault-injection sweep vs a clean baseline"
     )
-    p.add_argument("--nx1", type=int, default=32)
-    p.add_argument("--nx2", type=int, default=16)
-    p.add_argument("--nsteps", type=int, default=6)
-    p.add_argument("--dt", type=float, default=2e-4)
-    p.add_argument("--nprx1", type=int, default=1)
-    p.add_argument("--nprx2", type=int, default=1)
-    p.add_argument("--precond", choices=("spai", "jacobi", "none"),
-                   default="jacobi")
-    _add_backend_flag(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    _add_grid_flags(p, nx1=32, nx2=16, nsteps=6, precond="jacobi")
     p.add_argument("--error-margin", type=float, default=1e-3,
                    help="absolute slack allowed over the baseline error")
-    _add_transport_flag(p)
     _add_resilience_flags(p)
     p.set_defaults(fn=_cmd_chaos)
 

@@ -61,7 +61,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.campaign.aggregate import ledger_results
         from repro.perf.ledger import Ledger
 
-        ledger = Ledger(args.ledger)
+        # Default under the (git-ignored) cache dir: only an explicit
+        # --ledger may write into a tracked directory.
+        ledger = Ledger(args.ledger or Path(args.cache_dir) / "ledger")
         n = ledger.append_all(ledger_results(payload))
         print(f"appended {n} entries to {ledger.history_path}")
     if tracer is not None:
@@ -185,9 +187,9 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
     vp.add_argument("--trace", metavar="PATH", default=None,
                     help="write the scheduler's job-lifecycle timeline "
                          "(Chrome trace-event JSON) to PATH")
-    vp.add_argument("--ledger", default="benchmarks/_reports",
+    vp.add_argument("--ledger", default=None,
                     help="performance-ledger directory campaign results "
-                         "are appended to (default: benchmarks/_reports)")
+                         "are appended to (default: CACHE_DIR/ledger)")
     vp.add_argument("--no-ledger", action="store_true",
                     help="skip the performance-ledger append")
     common(vp)

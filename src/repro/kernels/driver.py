@@ -24,7 +24,7 @@ import numpy as np
 from repro.backend.base import Backend
 from repro.kernels.suite import KernelSuite
 from repro.monitor.counters import Counters
-from repro.monitor.timers import CpuTimer, WallTimer
+from repro.monitor.timers import perf_stat
 
 #: Table II routine order.
 ROUTINES: tuple[str, ...] = ("MATVEC", "DPROD", "DAXPY", "DSCAL", "DDAXPY")
@@ -132,13 +132,11 @@ class KernelDriver:
             # recorded event counts exactly reps x per-call counts.
             fn()
             before = counters.snapshot()
-            ct, wt = CpuTimer(), WallTimer()
-            ct.start()
-            wt.start()
-            for _ in range(self.reps):
-                fn()
-            cpu[name] = ct.stop()
-            wall[name] = wt.stop()
+            with perf_stat() as ps:
+                for _ in range(self.reps):
+                    fn()
+            cpu[name] = ps.result.cpu_seconds
+            wall[name] = ps.result.wall_seconds
             after = counters.snapshot()
             events[name] = {k: after[k] - before[k] for k in after}
 
@@ -238,16 +236,14 @@ def run_driver_spmd(
         ops = [ReduceOp.MAX] * len(ROUTINES) + [ReduceOp.SUM]
         return result, comm.allreduce_batch(payloads, ops=ops)
 
-    timer = WallTimer()
-    timer.start()
-    out = run_spmd(ranks, rank_body, timeout=timeout, transport=transport_name)
-    wall = timer.stop()
+    with perf_stat() as ps:
+        out = run_spmd(ranks, rank_body, timeout=timeout, transport=transport_name)
     reduced = out[0][1]
     return SpmdDriverResult(
         ranks=ranks,
         backend=backend,
         transport=transport_name,
-        wall_seconds=wall,
+        wall_seconds=ps.result.wall_seconds,
         cpu_seconds={r: float(reduced[i]) for i, r in enumerate(ROUTINES)},
         total_flops=int(reduced[len(ROUTINES)]),
         per_rank=[r for r, _ in out],

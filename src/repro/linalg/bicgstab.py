@@ -70,24 +70,21 @@ class DotContext:
         self.comm = comm
         self.reductions = 0
 
-    def dot(self, x: Array, y: Array) -> float:
-        local = self.suite.dprod(x, y)
+    def _reduce(self, local):
+        """One global reduction of a locally computed value (or gang)."""
         self.reductions += 1
         if self.comm is not None and self.comm.size > 1:
-            return float(self.comm.allreduce(local))
+            return self.comm.allreduce(local)
         if self.comm is not None:
             self.comm.counters.reductions += 1
         return local
 
+    def dot(self, x: Array, y: Array) -> float:
+        return float(self._reduce(self.suite.dprod(x, y)))
+
     def gang(self, pairs: Sequence[tuple[Array, Array]]) -> np.ndarray:
         """Several inner products, one global reduction."""
-        local = self.suite.dprod_gang(pairs)
-        self.reductions += 1
-        if self.comm is not None and self.comm.size > 1:
-            return np.asarray(self.comm.allreduce(local))
-        if self.comm is not None:
-            self.comm.counters.reductions += 1
-        return local
+        return np.asarray(self._reduce(self.suite.dprod_gang(pairs)))
 
     def gang_matvec(
         self,
@@ -98,21 +95,11 @@ class DotContext:
     ) -> tuple[Array, np.ndarray]:
         """Fused Matvec + ganged dots, one global reduction."""
         out, local = op.apply_dots(x, dots, out=out)
-        self.reductions += 1
-        if self.comm is not None and self.comm.size > 1:
-            return out, np.asarray(self.comm.allreduce(local))
-        if self.comm is not None:
-            self.comm.counters.reductions += 1
-        return out, np.asarray(local)
+        return out, np.asarray(self._reduce(local))
 
     def reduce_scalar(self, local: float) -> float:
         """Globally reduce one locally computed inner product."""
-        self.reductions += 1
-        if self.comm is not None and self.comm.size > 1:
-            return float(self.comm.allreduce(local))
-        if self.comm is not None:
-            self.comm.counters.reductions += 1
-        return float(local)
+        return float(self._reduce(local))
 
 
 @dataclass
@@ -187,7 +174,6 @@ def bicgstab(
     max_restarts: int = 10,
     callback: Callable[[int, float], None] | None = None,
     tracer: Tracer | None = None,
-    trace_rank: int = 0,
 ) -> SolveResult:
     """Solve ``A x = b`` with (preconditioned) BiCGSTAB.
 
@@ -228,8 +214,8 @@ def bicgstab(
     tracer:
         Optional :class:`~repro.monitor.trace.Tracer`; when given, the
         solver marks every iteration (and every breakdown restart) on
-        rank ``trace_rank``'s track.  ``None`` (the default) adds no
-        work to the iteration at all.
+        its track.  ``None`` (the default) adds no work to the
+        iteration at all.
     """
     if suite is None:
         suite = getattr(op, "suite", None) or KernelSuite()
@@ -324,7 +310,7 @@ def bicgstab(
     def trace_iter(iteration: int, norm: float) -> None:
         if tracer is not None:
             tracer.instant(
-                "bicgstab_iter", rank=trace_rank, cat="solver",
+                "bicgstab_iter", cat="solver",
                 args={"iter": iteration, "rnorm": norm},
             )
 
@@ -342,7 +328,7 @@ def bicgstab(
         breakdowns += 1
         if tracer is not None:
             tracer.instant(
-                "bicgstab_restart", rank=trace_rank, cat="solver",
+                "bicgstab_restart", cat="solver",
                 args={"iter": it, "breakdowns": breakdowns},
             )
         if breakdowns > max_restarts:

@@ -2,18 +2,22 @@
 
 This package stands in for the measurement stack used in the paper:
 
-* :mod:`repro.monitor.timers` -- ``perf stat``-style region timing
-  (``duration_time`` / ``cpu-cycles`` events) via software clocks.
+* :mod:`repro.monitor.timers` -- :func:`perf_stat`, the one wall+CPU
+  stopwatch (``duration_time`` / ``cpu-cycles`` events via software
+  clocks).
 * :mod:`repro.monitor.counters` -- PAPI-style hardware event counters,
   implemented as software counters incremented by the instrumented
   kernels and communicator.
-* :mod:`repro.monitor.profiler` -- TAU-style hierarchical region
-  profiler with ParaProf-like flat-profile text reports.
+* :mod:`repro.monitor.profiler` -- ``Profiler.region()``, the one
+  span source of the run path; its TAU-style tree renders ParaProf-like
+  flat and tree profiles, and it forwards each region to the tracer it
+  carries.
 * :mod:`repro.monitor.sampler` -- Arm-MAP-style statistical sampler
   over the profiler's active-region stacks.
-* :mod:`repro.monitor.trace` -- structured span/event tracer with a
-  process-wide metrics registry, exporting Chrome trace-event JSON
-  (Perfetto-loadable timelines with per-rank tracks).
+* :mod:`repro.monitor.trace` -- the timeline view of those regions
+  (Chrome trace-event JSON, ``Tracer.summary()``) plus timeline-only
+  instants, counter tracks and async windows, and a process-wide
+  metrics registry.
 
 The paper measured V2D with ``perf stat -e duration_time -e
 cpu-cycles``, PAPI timers inside the linear-algebra routines, TAU's
@@ -26,9 +30,9 @@ region, event counts per routine, and percent-of-total attributions.
 from repro.monitor.counters import Counters, EventSet, PAPI_EVENTS
 from repro.monitor.flight import FlightRecorder, dump_bundle, read_bundle
 from repro.monitor.log import bind_context, configure_logging, get_logger
-from repro.monitor.profiler import Profiler, ProfileNode, get_profiler, profile_region
+from repro.monitor.profiler import Profiler, ProfileNode
 from repro.monitor.sampler import SampleReport, SamplingProfiler
-from repro.monitor.timers import CpuTimer, PerfStatResult, RegionTimer, WallTimer, perf_stat
+from repro.monitor.timers import PerfStatResult, perf_stat
 from repro.monitor.telemetry import (
     Histogram,
     Telemetry,
@@ -62,11 +66,6 @@ __all__ = [
     "PAPI_EVENTS",
     "Profiler",
     "ProfileNode",
-    "get_profiler",
-    "profile_region",
-    "WallTimer",
-    "CpuTimer",
-    "RegionTimer",
     "PerfStatResult",
     "perf_stat",
     "SamplingProfiler",

@@ -7,6 +7,13 @@ module keeps it to a single context manager, builds the same calling
 tree TAU would, and renders ParaProf-style flat and tree profiles:
 inclusive/exclusive seconds, call counts, and percent of total.
 
+:meth:`Profiler.region` is the one way the run path times a region.
+The aggregating tree is the always-on store (memory O(distinct
+regions)); a profiler that carries a :class:`~repro.monitor.trace.Tracer`
+forwards each region's begin/end to it, so the Chrome trace and
+``Tracer.summary()`` are views of the same stream, and the MAP-style
+sampler reads the open-region stacks kept here.
+
 A thread-local *current node* makes the profiler safe to use from the
 SPMD thread launcher in :mod:`repro.parallel`: each rank thread builds
 its own independent tree under a shared :class:`Profiler` when given a
@@ -17,9 +24,13 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, ContextManager, Iterator, Mapping
+
+from repro.monitor.trace import Tracer
+
+_NO_REGION = nullcontext()
 
 
 @dataclass
@@ -58,9 +69,20 @@ class ProfileNode:
 
 
 class Profiler:
-    """Collects per-rank region trees and renders TAU-like reports."""
+    """Collects per-rank region trees and renders TAU-like reports.
 
-    def __init__(self) -> None:
+    ``tracer`` is an optional timeline sink for every region; ``rank``
+    is the tree (and track) regions land on unless a call names another
+    one.  ``aggregate=False`` keeps no tree: regions only feed the
+    tracer, and cost nothing when there is none.
+    """
+
+    def __init__(
+        self, tracer: Tracer | None = None, rank: int = 0, aggregate: bool = True
+    ) -> None:
+        self.tracer = tracer
+        self.rank = rank
+        self.aggregate = aggregate
         self._roots: dict[int, ProfileNode] = {}
         self._tls = threading.local()
         self._lock = threading.Lock()
@@ -99,16 +121,35 @@ class Profiler:
                 self._roots[rank] = root
             return root
 
-    @contextmanager
-    def region(self, name: str, rank: int = 0) -> Iterator[ProfileNode]:
+    def region(
+        self,
+        name: str,
+        rank: int | None = None,
+        cat: str = "region",
+        args: Mapping[str, Any] | None = None,
+    ) -> ContextManager[ProfileNode | None]:
         """Time a named region nested under the current one.
 
         Nesting is tracked *per rank*: opening a region with a ``rank``
         different from the enclosing region's attributes it to the
         requested rank's own tree (under that rank's innermost open
         region, or its root) instead of silently hanging it off the
-        enclosing rank's tree.
+        enclosing rank's tree.  ``cat`` and ``args`` label the span the
+        carried tracer records for this region.
         """
+        if rank is None:
+            rank = self.rank
+        if self.aggregate:
+            return self._timed(name, rank, cat, args)
+        if self.tracer is not None:
+            return self.tracer.span(name, rank, cat, args)
+        return _NO_REGION
+
+    @contextmanager
+    def _timed(
+        self, name: str, rank: int, cat: str, args: Mapping[str, Any] | None
+    ) -> Iterator[ProfileNode]:
+        tracer = self.tracer
         tls = self._tls
         epoch = self._epoch
         current: dict[int, ProfileNode] | None = getattr(tls, "current", None)
@@ -124,9 +165,13 @@ class Profiler:
         tid = threading.get_ident()
         self._active[tid] = node
         t0 = time.perf_counter()
+        if tracer is not None:
+            tracer.begin(name, rank, cat, args)
         try:
             yield node
         finally:
+            if tracer is not None:
+                tracer.end(name, rank, cat)
             dt = time.perf_counter() - t0
             stale = epoch != self._epoch
             if not stale:
@@ -265,18 +310,3 @@ class Profiler:
             self._roots.clear()
             self._active.clear()
         self._tls = threading.local()
-
-
-_GLOBAL_PROFILER = Profiler()
-
-
-def get_profiler() -> Profiler:
-    """The process-wide default profiler."""
-    return _GLOBAL_PROFILER
-
-
-@contextmanager
-def profile_region(name: str, rank: int = 0) -> Iterator[ProfileNode]:
-    """Shortcut: time ``name`` on the default profiler."""
-    with _GLOBAL_PROFILER.region(name, rank=rank) as node:
-        yield node

@@ -6,109 +6,23 @@ The paper timed whole-process executions with::
 
 and cross-checked PAPI software timers against the hardware clock,
 finding the differences insignificant.  This module provides the
-software side of that comparison: monotonic wall-clock and process CPU
-timers, a re-enterable region timer, and a :func:`perf_stat` context
-manager that reports the same two events (``duration_time`` in
-nanoseconds, ``cpu-cycles`` estimated from CPU time at a nominal clock
-rate -- a documented software proxy, since cycle counters are not
-readable from Python).
+software side of that comparison: :func:`perf_stat`, the one wall+CPU
+stopwatch (whole runs, the kernel driver's timed loops), reporting the
+same two events (``duration_time`` in nanoseconds, ``cpu-cycles``
+estimated from CPU time at a nominal clock rate -- a documented
+software proxy, since cycle counters are not readable from Python).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 #: Nominal A64FX clock rate used to convert CPU seconds into an
 #: estimated ``cpu-cycles`` count (the A64FX on Ookami runs at 1.8 GHz).
 NOMINAL_HZ: float = 1.8e9
-
-
-class WallTimer:
-    """Accumulating monotonic wall-clock timer."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed: float = 0.0
-        self.calls: int = 0
-
-    def start(self) -> None:
-        if self._start is not None:
-            raise RuntimeError("timer already running")
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("timer not running")
-        dt = time.perf_counter() - self._start
-        self._start = None
-        self.elapsed += dt
-        self.calls += 1
-        return dt
-
-    @property
-    def running(self) -> bool:
-        return self._start is not None
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-        self.calls = 0
-
-    def __enter__(self) -> "WallTimer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-
-class CpuTimer(WallTimer):
-    """Accumulating process CPU-time timer (``time.process_time``)."""
-
-    def start(self) -> None:  # noqa: D102 - inherited docstring
-        if self._start is not None:
-            raise RuntimeError("timer already running")
-        self._start = time.process_time()
-
-    def stop(self) -> float:  # noqa: D102 - inherited docstring
-        if self._start is None:
-            raise RuntimeError("timer not running")
-        dt = time.process_time() - self._start
-        self._start = None
-        self.elapsed += dt
-        self.calls += 1
-        return dt
-
-
-@dataclass
-class RegionTimer:
-    """Named pair of wall + CPU timers for a code region."""
-
-    name: str
-    wall: WallTimer = field(default_factory=WallTimer)
-    cpu: CpuTimer = field(default_factory=CpuTimer)
-
-    def start(self) -> None:
-        self.wall.start()
-        self.cpu.start()
-
-    def stop(self) -> None:
-        self.wall.stop()
-        self.cpu.stop()
-
-    def __enter__(self) -> "RegionTimer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    @property
-    def calls(self) -> int:
-        return self.wall.calls
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ the Chrome trace-event JSON format, loadable in Perfetto or
 Design rules (mirroring the resilience layer's):
 
 * **Zero cost when disabled.**  Nothing here runs unless a caller holds
-  a :class:`Tracer`; every instrumented site guards on ``tracer is not
-  None`` exactly like the existing ``profiler is not None`` checks.
+  a :class:`Tracer`.  Timed regions reach it through
+  :meth:`repro.monitor.profiler.Profiler.region`, which forwards each
+  begin/end to the tracer it carries; timeline-only events (instants,
+  counters, async windows) guard on ``tracer is not None``.
 * **Observation only.**  The tracer reads clocks and counters; it never
   touches operands, so runs with tracing enabled are bitwise-identical
   to runs without (asserted by the test suite).
@@ -219,6 +221,9 @@ def get_metrics() -> MetricsRegistry:
 class Tracer:
     """Collects trace events; one instance per traced rank (or tool).
 
+    ``rank`` is the track every emission lands on unless the call names
+    another one (a :class:`~repro.v2d.simulation.Simulation` is one
+    rank, so it binds its rank here once).
     Spans map to ``B``/``E`` pairs on the track ``pid = rank``; the
     ``tid`` is a small per-tracer index interned from the writing
     thread, so multi-thread ranks (e.g. SPMD + hydro) keep properly
@@ -227,8 +232,9 @@ class Tracer:
     construction -- and zero when no tracer is installed.
     """
 
-    def __init__(self, process_label: str = "repro") -> None:
+    def __init__(self, process_label: str = "repro", rank: int = 0) -> None:
         self.process_label = process_label
+        self.rank = rank
         self._events: list[dict[str, Any]] = []
         self._lock = threading.Lock()
         self._tids: dict[int, int] = {}
@@ -269,11 +275,13 @@ class Tracer:
         self,
         ph: str,
         name: str,
-        rank: int,
+        rank: int | None,
         cat: str,
         args: Mapping[str, Any] | None = None,
         **extra: Any,
     ) -> None:
+        if rank is None:
+            rank = self.rank
         self._ranks.add(rank)
         ev: dict[str, Any] = {
             "name": name,
@@ -291,25 +299,39 @@ class Tracer:
     # ------------------------------------------------------------------
     # Emission API
     # ------------------------------------------------------------------
+    def begin(
+        self,
+        name: str,
+        rank: int | None = None,
+        cat: str = "region",
+        args: Mapping[str, Any] | None = None,
+    ) -> None:
+        """Open a synchronous span (``B``); close it with :meth:`end`."""
+        self._emit("B", name, rank, cat, args)
+
+    def end(self, name: str, rank: int | None = None, cat: str = "region") -> None:
+        """Close the innermost open span of this thread (``E``)."""
+        self._emit("E", name, rank, cat)
+
     @contextmanager
     def span(
         self,
         name: str,
-        rank: int = 0,
+        rank: int | None = None,
         cat: str = "region",
         args: Mapping[str, Any] | None = None,
     ) -> Iterator[None]:
         """Synchronous span: ``B`` at entry, matching ``E`` at exit."""
-        self._emit("B", name, rank, cat, args)
+        self.begin(name, rank, cat, args)
         try:
             yield
         finally:
-            self._emit("E", name, rank, cat)
+            self.end(name, rank, cat)
 
     def instant(
         self,
         name: str,
-        rank: int = 0,
+        rank: int | None = None,
         cat: str = "event",
         args: Mapping[str, Any] | None = None,
     ) -> None:
@@ -317,13 +339,14 @@ class Tracer:
         self._emit("i", name, rank, cat, args, s="t")
 
     def counter(
-        self, name: str, values: Mapping[str, float], rank: int = 0
+        self, name: str, values: Mapping[str, float], rank: int | None = None
     ) -> None:
         """Counter snapshot; Perfetto renders one series per key."""
         self._emit("C", name, rank, "counter", values)
 
     def counter_snapshot(
-        self, registry: MetricsRegistry, rank: int = 0, name: str = "metrics"
+        self, registry: MetricsRegistry, rank: int | None = None,
+        name: str = "metrics",
     ) -> None:
         """Snapshot a :class:`MetricsRegistry` onto the counter track."""
         values = registry.snapshot()
@@ -333,11 +356,13 @@ class Tracer:
     def async_begin(
         self,
         name: str,
-        rank: int = 0,
+        rank: int | None = None,
         cat: str = "async",
         args: Mapping[str, Any] | None = None,
     ) -> int:
         """Open an async (overlap) window; returns the id to close it."""
+        if rank is None:
+            rank = self.rank
         with self._lock:
             self._async_seq += 1
             aid = self._async_seq
@@ -350,11 +375,13 @@ class Tracer:
         self,
         name: str,
         aid: int,
-        rank: int = 0,
+        rank: int | None = None,
         cat: str = "async",
         args: Mapping[str, Any] | None = None,
     ) -> None:
         """Close the async window ``aid`` (from :meth:`async_begin`)."""
+        if rank is None:
+            rank = self.rank
         self._emit("e", name, rank, cat, args, id=f"{rank}.{aid}")
 
     # ------------------------------------------------------------------

@@ -64,7 +64,8 @@ class HaloExchanger:
         :class:`BoundaryCondition` for all sides or a per-side dict
         with keys ``west/east/south/north``.
     tracer:
-        Optional :class:`~repro.monitor.trace.Tracer`; when given, the
+        Optional :class:`~repro.monitor.trace.Tracer` bound to this
+        rank; when given, the
         posting (``halo_start``) and installation (``halo_finish``)
         phases become spans on this rank's track and the in-flight
         window between them an async ``halo_inflight`` event, making
@@ -111,9 +112,8 @@ class HaloExchanger:
         """
         if self.tracer is None:
             return self._start(field, width, None)
-        rank = self.cart.rank
-        aid = self.tracer.async_begin("halo_inflight", rank=rank, cat="halo")
-        with self.tracer.span("halo_start", rank=rank, cat="halo"):
+        aid = self.tracer.async_begin("halo_inflight", cat="halo")
+        with self.tracer.span("halo_start", cat="halo"):
             return self._start(field, width, aid)
 
     def _start(
@@ -185,11 +185,10 @@ class PendingExchange:
         if tracer is None:
             self._finish()
             return
-        rank = self.exchanger.cart.rank
-        with tracer.span("halo_finish", rank=rank, cat="halo"):
+        with tracer.span("halo_finish", cat="halo"):
             self._finish()
         if self.async_id is not None:
-            tracer.async_end("halo_inflight", self.async_id, rank=rank, cat="halo")
+            tracer.async_end("halo_inflight", self.async_id, cat="halo")
 
     def _finish(self) -> None:
         from repro.monitor import telemetry

@@ -126,7 +126,6 @@ def solve_with_escalation(
     counters: Counters | None = None,
     site: int = 0,
     tracer: Tracer | None = None,
-    trace_rank: int = 0,
 ) -> SolveStats:
     """Run the solver ladder; returns the per-attempt record.
 
@@ -144,8 +143,7 @@ def solve_with_escalation(
         t0 = time.perf_counter()
         if tracer is not None:
             with tracer.span(
-                f"solve_attempt:{method}", rank=trace_rank,
-                cat="resilience", args={"site": site},
+                f"solve_attempt:{method}", cat="resilience", args={"site": site}
             ):
                 result = run()
         else:
@@ -157,13 +155,11 @@ def solve_with_escalation(
 
     def mark(event: str) -> None:
         if tracer is not None:
-            tracer.instant(
-                event, rank=trace_rank, cat="resilience", args={"site": site}
-            )
+            tracer.instant(event, cat="resilience", args={"site": site})
         if telemetry.enabled():
             last = stats.attempts[-1]
             flight.record(
-                trace_rank, "escalation", event, site=site,
+                comm.rank if comm is not None else 0, "escalation", event, site=site,
                 failed_method=last.method, iterations=last.result.iterations,
                 seconds=round(last.seconds, 6),
             )
@@ -176,8 +172,7 @@ def solve_with_escalation(
     if attempt(first, lambda: bicgstab(
         op, b, x0=x0, tol=tol, maxiter=maxiter, M=M, suite=suite, comm=comm,
         ganged=ganged, fused=use_fused,
-        workspace=workspace if use_fused else None,
-        tracer=tracer, trace_rank=trace_rank,
+        workspace=workspace if use_fused else None, tracer=tracer,
     )):
         return stats
 
@@ -187,8 +182,7 @@ def solve_with_escalation(
         mark("solver_escalation")
         if attempt("bicgstab-unfused", lambda: bicgstab(
             op, b, x0=x0, tol=tol, maxiter=maxiter, M=M, suite=suite, comm=comm,
-            ganged=True, fused=False,
-            tracer=tracer, trace_rank=trace_rank,
+            ganged=True, fused=False, tracer=tracer,
         )):
             return stats
 

@@ -20,14 +20,13 @@ exchange in decomposed runs), so a run of ``nsteps`` steps performs
 ``3 * nsteps`` BiCGSTAB solves -- the paper's 100-step problem is 300
 linear systems.
 
-Every phase is instrumented with the TAU-style profiler under the
-region names the Sec. II-E breakdown uses (``MATVEC``, ``PRECOND``,
+Every phase is a :meth:`~repro.monitor.profiler.Profiler.region` under
+the names the Sec. II-E breakdown uses (``MATVEC``, ``PRECOND``,
 ``BiCGSTAB``, ``build_system``, ``halo_exchange``, ``matter_update``).
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,7 +44,6 @@ from repro.linalg.spai import (
     SPAIPreconditioner,
 )
 from repro.monitor.profiler import Profiler
-from repro.monitor.trace import Tracer
 from repro.parallel.cart import CartComm
 from repro.parallel.halo import BoundaryCondition, HaloExchanger
 from repro.resilience.errors import NonFiniteStateError
@@ -61,77 +59,34 @@ Array = np.ndarray
 PRECONDITIONERS = ("spai", "jacobi", "none")
 
 
-def _instrument_scope(
-    name: str,
-    rank: int,
-    profiler: Profiler | None,
-    tracer: Tracer | None,
-    cat: str = "integrator",
-):
-    """Context manager entering the profiler region and/or tracer span."""
-    if profiler is None and tracer is None:
-        return nullcontext()
-    stack = ExitStack()
-    if profiler is not None:
-        stack.enter_context(profiler.region(name, rank=rank))
-    if tracer is not None:
-        stack.enter_context(tracer.span(name, rank=rank, cat=cat))
-    return stack
-
-
 class _ProfiledOperator(LinearOperator):
-    """Wrap an operator so every apply lands in a profiler region
-    and/or a tracer span."""
+    """Wrap an operator so every apply is a profiler region."""
 
-    def __init__(
-        self,
-        op: LinearOperator,
-        profiler: Profiler | None,
-        name: str,
-        rank: int,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, op: LinearOperator, profiler: Profiler, name: str) -> None:
         self._op = op
         self._profiler = profiler
         self._name = name
-        self._rank = rank
-        self._tracer = tracer
 
     @property
     def operand_shape(self) -> tuple[int, ...]:
         return self._op.operand_shape
 
-    def _scope(self):
-        return _instrument_scope(
-            self._name, self._rank, self._profiler, self._tracer, cat="kernel"
-        )
-
     def apply(self, x: Array, out: Array | None = None) -> Array:
-        with self._scope():
+        with self._profiler.region(self._name, cat="kernel"):
             return self._op.apply(x, out=out)
 
     def apply_dots(self, x, dots, out: Array | None = None):
-        with self._scope():
+        with self._profiler.region(self._name, cat="kernel"):
             return self._op.apply_dots(x, dots, out=out)
 
 
 class _ProfiledPreconditioner(Preconditioner):
-    def __init__(
-        self,
-        M: Preconditioner,
-        profiler: Profiler | None,
-        rank: int,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, M: Preconditioner, profiler: Profiler) -> None:
         self._M = M
         self._profiler = profiler
-        self._rank = rank
-        self._tracer = tracer
 
     def apply(self, x: Array, out: Array | None = None) -> Array:
-        with _instrument_scope(
-            "PRECOND", self._rank, self._profiler, self._tracer, cat="kernel"
-        ):
+        with self._profiler.region("PRECOND", cat="kernel"):
             return self._M.apply(x, out=out)
 
 
@@ -183,11 +138,11 @@ class RadiationIntegrator:
     couple_matter:
         Evolve the material temperature via emission-absorption
         exchange (solve 3 still runs with a frozen-T source otherwise).
-    tracer:
-        Optional :class:`~repro.monitor.trace.Tracer`; mirrors the
-        profiler regions as timeline spans (and threads through to the
-        halo exchanger, solver and escalation ladder).  ``None`` keeps
-        every hot path on its uninstrumented branch.
+    profiler:
+        The one instrumentation handle: every phase is one of its
+        regions, and the tracer it carries (if any) is what the halo
+        exchanger, solver and escalation ladder mark their
+        timeline-only events on.  Omitted, regions are no-ops.
     escalate:
         Arm solver-level recovery: a failed or non-finite solve walks
         the escalation ladder (fused -> unfused -> GMRES) and each
@@ -217,7 +172,6 @@ class RadiationIntegrator:
         cv: float = 1.0,
         emission: bool = False,
         profiler: Profiler | None = None,
-        tracer: Tracer | None = None,
         escalate: bool = False,
     ) -> None:
         if precond not in PRECONDITIONERS:
@@ -245,15 +199,13 @@ class RadiationIntegrator:
         self.a_rad = a_rad
         self.cv = cv
         self.emission = emission
-        self.profiler = profiler
-        self.tracer = tracer
+        self.profiler = profiler if profiler is not None else Profiler(aggregate=False)
         # Solver-level recovery: degrade fused -> unfused -> GMRES
         # instead of committing a failed solve.
         self.escalate = escalate
         self.solve_stats: list[SolveStats] = []
         self.degraded_solves = 0
         self.degraded_seconds = 0.0
-        self.rank = cart.rank if cart is not None else 0
 
         n1, n2 = mesh.shape
         self.E = Field(basis.ncomp, (n1, n2), nghost=1)
@@ -262,7 +214,8 @@ class RadiationIntegrator:
         self.time = 0.0
         self.step_count = 0
         self._halo = (
-            HaloExchanger(cart, bc, tracer=tracer) if cart is not None else None
+            HaloExchanger(cart, bc, tracer=self.profiler.tracer)
+            if cart is not None else None
         )
 
     # ------------------------------------------------------------------
@@ -283,9 +236,7 @@ class RadiationIntegrator:
             self.temp[...] = temp
 
     def _fill_ghosts(self, fld: Field) -> None:
-        with _instrument_scope(
-            "halo_exchange", self.rank, self.profiler, self.tracer, cat="halo"
-        ):
+        with self.profiler.region("halo_exchange", cat="halo"):
             if self._halo is not None:
                 self._halo.exchange(fld)
             else:
@@ -299,29 +250,22 @@ class RadiationIntegrator:
     def _build(
         self, epad: Array, dt: float, temp: Array, e_rhs: Array | None = None
     ) -> RadiationSystem:
-        with _instrument_scope(
-            "build_system", self.rank, self.profiler, self.tracer
-        ):
-            return self._build_inner(epad, dt, temp, e_rhs)
-
-    def _build_inner(
-        self, epad: Array, dt: float, temp: Array, e_rhs: Array | None
-    ) -> RadiationSystem:
-        return build_radiation_system(
-            self.mesh,
-            epad,
-            self.rho,
-            temp,
-            dt,
-            self.basis,
-            self.opacity,
-            limiter=self.limiter,
-            coupling=self.coupling,
-            c_light=self.c_light,
-            a_rad=self.a_rad,
-            emission=self.emission,
-            e_rhs=e_rhs,
-        )
+        with self.profiler.region("build_system", cat="integrator"):
+            return build_radiation_system(
+                self.mesh,
+                epad,
+                self.rho,
+                temp,
+                dt,
+                self.basis,
+                self.opacity,
+                limiter=self.limiter,
+                coupling=self.coupling,
+                c_light=self.c_light,
+                a_rad=self.a_rad,
+                emission=self.emission,
+                e_rhs=e_rhs,
+            )
 
     def _make_preconditioner(self, system: RadiationSystem) -> Preconditioner:
         if self.precond_name == "spai":
@@ -332,21 +276,18 @@ class RadiationIntegrator:
             M = JacobiPreconditioner.from_stencil(system.coeffs, suite=self.suite)
         else:
             M = IdentityPreconditioner()
-        if self.profiler is not None or self.tracer is not None:
-            M = _ProfiledPreconditioner(
-                M, self.profiler, self.rank, tracer=self.tracer
-            )
-        return M
+        return _ProfiledPreconditioner(M, self.profiler)
 
     def _solve(self, system: RadiationSystem, x0: Array, site: int) -> SolveResult:
-        op: LinearOperator = StencilOperator(
-            system.coeffs, suite=self.suite, bc=self.bc, cart=self.cart,
-            tracer=self.tracer,
+        tracer = self.profiler.tracer
+        op: LinearOperator = _ProfiledOperator(
+            StencilOperator(
+                system.coeffs, suite=self.suite, bc=self.bc, cart=self.cart,
+                tracer=tracer,
+            ),
+            self.profiler,
+            "MATVEC",
         )
-        if self.profiler is not None or self.tracer is not None:
-            op = _ProfiledOperator(
-                op, self.profiler, "MATVEC", self.rank, tracer=self.tracer
-            )
         M = self._make_preconditioner(system)
 
         def run() -> SolveResult:
@@ -365,8 +306,7 @@ class RadiationIntegrator:
                     workspace=self._workspace,
                     counters=self.suite.counters,
                     site=site,
-                    tracer=self.tracer,
-                    trace_rank=self.rank,
+                    tracer=tracer,
                 )
                 self.solve_stats.append(stats)
                 if stats.degraded:
@@ -392,25 +332,16 @@ class RadiationIntegrator:
                 ganged=self.ganged,
                 fused=self.fused,
                 workspace=self._workspace,
-                tracer=self.tracer,
-                trace_rank=self.rank,
+                tracer=tracer,
             )
 
-        if self.profiler is not None or self.tracer is not None:
-            # Distinct call-site regions: the paper's Arm MAP run
-            # attributed 31-33% of total time to each of the three
-            # BiCGSTAB call sites; the shared inner "BiCGSTAB" region
-            # still merges them in the TAU-style flat profile.
-            with _instrument_scope(
-                f"solve_site_{site}", self.rank, self.profiler, self.tracer,
-                cat="solver",
-            ):
-                with _instrument_scope(
-                    "BiCGSTAB", self.rank, self.profiler, self.tracer,
-                    cat="solver",
-                ):
-                    return run()
-        return run()
+        # Distinct call-site regions: the paper's Arm MAP run attributed
+        # 31-33% of total time to each of the three BiCGSTAB call sites;
+        # the shared inner "BiCGSTAB" region still merges them in the
+        # TAU-style flat profile.
+        with self.profiler.region(f"solve_site_{site}", cat="solver"):
+            with self.profiler.region("BiCGSTAB", cat="solver"):
+                return run()
 
     # ------------------------------------------------------------------
     def _guard_solution(self, res: SolveResult, site: int) -> Array:
@@ -503,9 +434,7 @@ class RadiationIntegrator:
         e_corr = self._guard_solution(res2, site=2)
 
         # --- Matter update + Solve 3 (emission at T^{n+1}) ------------
-        with _instrument_scope(
-            "matter_update", self.rank, self.profiler, self.tracer
-        ):
+        with self.profiler.region("matter_update", cat="integrator"):
             new_temp = (
                 self._matter_update(e_corr, dt) if self.couple_matter else self.temp
             )

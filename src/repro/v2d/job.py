@@ -20,7 +20,7 @@ from repro.monitor.trace import merge_summaries
 from repro.problems import get_problem
 from repro.v2d.config import V2DConfig
 from repro.v2d.report import RunReport
-from repro.v2d.simulation import Simulation, run_parallel
+from repro.v2d.simulation import run_parallel
 
 #: Result-payload schema version (bump on incompatible changes; part of
 #: the campaign cache key, so a bump invalidates stale entries).
@@ -58,12 +58,8 @@ def run_job(
     """
     cfg = config if isinstance(config, V2DConfig) else V2DConfig.from_dict(config)
     prob = get_problem(problem)
-    if cfg.nranks == 1:
-        reports = [Simulation(cfg, prob).run()]
-    else:
-        kwargs = {} if timeout is None else {"timeout": timeout}
-        reports = run_parallel(cfg, prob, **kwargs)
-    return summarize_reports(cfg, problem, reports)
+    kwargs = {} if timeout is None else {"timeout": timeout}
+    return summarize_reports(cfg, problem, run_parallel(cfg, prob, **kwargs))
 
 
 def summarize_reports(

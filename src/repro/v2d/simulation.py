@@ -11,7 +11,7 @@ launches one Simulation per rank over the SPMD substrate -- the
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -60,18 +60,6 @@ class RunInterrupted(Exception):
     def __init__(self, reason: str = "interrupted") -> None:
         super().__init__(reason)
         self.reason = reason
-
-
-def _scope(profiler, tracer, name, rank, cat="sim"):
-    """Context manager entering the profiler region and/or tracer span."""
-    if profiler is None and tracer is None:
-        return nullcontext()
-    stack = ExitStack()
-    if profiler is not None:
-        stack.enter_context(profiler.region(name, rank=rank))
-    if tracer is not None:
-        stack.enter_context(tracer.span(name, rank=rank, cat=cat))
-    return stack
 
 
 class Simulation:
@@ -156,8 +144,14 @@ class Simulation:
         self._last_checkpoint: tuple[str, int] | None = None
 
         self.suite = KernelSuite(backend, counters=self.counters)
-        self.profiler = Profiler() if config.profile else None
-        self.tracer = Tracer() if config.trace else None
+        # One rank, one instrumentation handle: every timed region goes
+        # through ``self.profiler.region``, which keeps the tree when
+        # ``config.profile`` is set and forwards to the tracer when
+        # ``config.trace`` is (with neither, regions are no-ops).
+        self.tracer = Tracer(rank=self.rank) if config.trace else None
+        self.profiler = Profiler(
+            tracer=self.tracer, rank=self.rank, aggregate=config.profile
+        )
 
         # Radiation integrator (the paper's workload).
         limiter = config.limiter if config.limiter is not None else problem.limiter()
@@ -181,7 +175,6 @@ class Simulation:
             cv=config.cv,
             emission=config.emission,
             profiler=self.profiler,
-            tracer=self.tracer,
             escalate=rc.escalation if rc is not None else False,
         )
 
@@ -270,7 +263,7 @@ class Simulation:
     def _step_once(self, dt: float) -> StepReport:
         """One coupled timestep (hydro substeps + three radiation solves)."""
         if self.hydro is not None:
-            with _scope(self.profiler, self.tracer, "hydro", self.rank, cat="hydro"):
+            with self.profiler.region("hydro", cat="hydro"):
                 self._hydro_advance(dt)
             t_before = self.integrator.temp.copy()
             report = self.integrator.step(dt)
@@ -285,7 +278,7 @@ class Simulation:
         if self.tracer is None:
             return self._step_once(dt)
         with self.tracer.span(
-            "step", rank=self.rank, cat="sim",
+            "step", cat="sim",
             args={"step": self.integrator.step_count + 1, "dt": dt},
         ):
             report = self._step_once(dt)
@@ -294,7 +287,7 @@ class Simulation:
         metrics = get_metrics()
         metrics.inc("repro.steps")
         metrics.inc("repro.solver_iterations", report.iterations)
-        self.tracer.counter_snapshot(metrics, rank=self.rank)
+        self.tracer.counter_snapshot(metrics)
         self.tracer.counter(
             "papi",
             {
@@ -305,7 +298,6 @@ class Simulation:
                     if self.comm is not None else 0
                 ),
             },
-            rank=self.rank,
         )
         return report
 
@@ -364,7 +356,7 @@ class Simulation:
                 failures += 1
                 if self.tracer is not None:
                     self.tracer.instant(
-                        "step_retry", rank=self.rank, cat="resilience",
+                        "step_retry", cat="resilience",
                         args={
                             "step": self.integrator.step_count + 1,
                             "failures": failures,
@@ -434,7 +426,11 @@ class Simulation:
         path = f"{cfg.checkpoint_path}.step{step:05d}.npz"
         ok = True
         try:
-            with _scope(None, self.tracer, "checkpoint", self.rank, cat="io"):
+            # Timeline-only span: not a region of the flat profile.
+            with (
+                self.tracer.span("checkpoint", cat="io")
+                if self.tracer is not None else nullcontext()
+            ):
                 save_checkpoint(
                     path,
                     self.integrator.E.interior,
@@ -462,8 +458,7 @@ class Simulation:
         path, step = self._last_checkpoint
         if self.tracer is not None:
             self.tracer.instant(
-                "rollback", rank=self.rank, cat="resilience",
-                args={"to_step": step},
+                "rollback", cat="resilience", args={"to_step": step}
             )
         self.restart_from(path)
         self.step_reports = [r for r in self.step_reports if r.step <= step]
@@ -542,7 +537,7 @@ class Simulation:
             rank=self.rank,
             steps=list(self.step_reports),
             perf=ps.result,
-            profiler=self.profiler,
+            profiler=self.profiler if cfg.profile else None,
             tracer=self.tracer,
             final_time=self.time,
             final_energy=self.integrator.total_energy(),

@@ -416,6 +416,26 @@ class TestCampaignCLI:
                          "--cache-dir", cache_dir]) == 0
         assert "0/2 jobs would be served" in capsys.readouterr().out
 
+    def test_default_ledger_lands_under_cache_dir(self, tmp_path, monkeypatch):
+        # Without --ledger the append must not touch the tracked
+        # benchmarks/_reports snapshot (tier-1 leaves the tree clean).
+        repo = __import__("pathlib").Path(__file__).parent.parent
+        monkeypatch.chdir(repo)
+        tracked = repo / "benchmarks" / "_reports" / "BENCH_campaign.json"
+        before = tracked.read_bytes()
+        spec_file = tmp_path / "c.json"
+        spec_file.write_text(json.dumps({
+            "campaign": {"name": "ledgertest", "workers": 1},
+            "base": dict(BASE),
+        }))
+        cache_dir = tmp_path / "cache"
+        assert cli_main(["campaign", "run", str(spec_file),
+                         "--cache-dir", str(cache_dir),
+                         "--output", str(tmp_path / "b.json")]) == 0
+        assert tracked.read_bytes() == before
+        assert (cache_dir / "ledger" / "BENCH_campaign.json").is_file()
+        assert (cache_dir / "ledger" / "BENCH_history.jsonl").is_file()
+
     def test_clean_all_requires_confirmation(self, tmp_path, capsys):
         rc = cli_main(["campaign", "clean",
                        "--cache-dir", str(tmp_path / "cache")])

@@ -183,6 +183,18 @@ class TestKernelDriver:
         assert res.counters["MATVEC"]["matvecs"] == 3
         assert "MATVEC" in res.table()
 
+    def test_counts_scale_with_reps_and_both_clocks_run(self):
+        # One perf_stat window per routine: event counts stay exactly
+        # reps x per-call, and wall and CPU seconds are both reported.
+        once = KernelDriver(n=256, reps=1, band_offset=16).run("vector")
+        many = KernelDriver(n=256, reps=40, band_offset=16).run("vector")
+        for routine in ROUTINES:
+            assert many.counters[routine] == {
+                k: 40 * v for k, v in once.counters[routine].items()
+            }
+            assert many.wall_seconds[routine] > 0.0
+            assert many.cpu_seconds[routine] > 0.0
+
     def test_compare_scalar_vs_vector(self):
         driver = KernelDriver(n=256, reps=5, band_offset=16)
         no_sve, sve, ratios = driver.compare()

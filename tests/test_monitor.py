@@ -7,12 +7,9 @@ import pytest
 
 from repro.monitor import (
     Counters,
-    CpuTimer,
     EventSet,
     PAPI_EVENTS,
     Profiler,
-    RegionTimer,
-    WallTimer,
     perf_stat,
 )
 
@@ -90,47 +87,6 @@ class TestEventSet:
         fields = c.snapshot().keys()
         for attr in PAPI_EVENTS.values():
             assert attr in fields
-
-
-class TestTimers:
-    def test_wall_timer_accumulates(self):
-        t = WallTimer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.calls == 2
-        assert t.elapsed >= 0.02
-
-    def test_start_twice_rejected(self):
-        t = WallTimer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            WallTimer().stop()
-
-    def test_cpu_timer_runs(self):
-        t = CpuTimer()
-        t.start()
-        sum(i * i for i in range(50_000))
-        assert t.stop() > 0.0
-
-    def test_region_timer(self):
-        rt = RegionTimer("matvec")
-        with rt:
-            time.sleep(0.005)
-        assert rt.calls == 1
-        assert rt.wall.elapsed >= 0.005
-
-    def test_reset(self):
-        t = WallTimer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and t.calls == 0 and not t.running
 
 
 class TestPerfStat:

@@ -110,12 +110,12 @@ class _EntrySamplingProfiler(Profiler):
         super().__init__()
         self.sampler = SamplingProfiler(self, interval=0.001)
 
-    def region(self, name, rank=0):
+    def region(self, name, **kwargs):
         from contextlib import contextmanager
 
         @contextmanager
         def _enter():
-            with super(_EntrySamplingProfiler, self).region(name, rank=rank) as node:
+            with super(_EntrySamplingProfiler, self).region(name, **kwargs) as node:
                 self.sampler.sample_now()
                 yield node
 

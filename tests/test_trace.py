@@ -266,10 +266,8 @@ class TestEndToEndWiring:
 
     def test_escalation_emits_attempt_spans(self):
         op = IdentityOperator((8,))
-        tr = Tracer()
-        stats = solve_with_escalation(
-            op, np.ones(8), tracer=tr, trace_rank=3
-        )
+        tr = Tracer(rank=3)
+        stats = solve_with_escalation(op, np.ones(8), tracer=tr)
         assert stats.ok
         names = {ev["name"] for ev in tr.events()}
         assert any(n.startswith("solve_attempt:") for n in names)
@@ -318,3 +316,92 @@ class TestCampaignTracing:
         ).run()
         assert any(ev["name"] == "job_cached" for ev in tr2.events())
         assert validate_trace(tr2.to_payload()) == []
+
+
+class TestOneSpanSource:
+    """``Profiler.region`` feeds the profile and the timeline alike.
+
+    Whatever views are switched on, the physics is bitwise that of the
+    uninstrumented run, and the two views count every shared region the
+    same number of times -- also after crossing the mp result pipe.
+    """
+
+    TOPOLOGIES = {
+        "serial": dict(),
+        "threads2x1": dict(nprx1=2, transport="threads"),
+        "mp2x1": dict(nprx1=2, transport="mp"),
+    }
+
+    @staticmethod
+    def _run(topology: dict, profile: bool, trace: bool):
+        from repro.parallel import CartComm, run_spmd
+
+        cfg = V2DConfig(**CFG, **topology, profile=profile, trace=trace)
+
+        def prog(comm):
+            cart = CartComm.create(comm, cfg.nx1, cfg.nx2, cfg.nprx1, cfg.nprx2)
+            sim = Simulation(cfg, GaussianPulseProblem(), cart=cart)
+            return sim.run(), sim.integrator.E.interior.copy()
+
+        if cfg.nranks == 1:
+            sim = Simulation(cfg, GaussianPulseProblem())
+            return [(sim.run(), sim.integrator.E.interior.copy())]
+        return run_spmd(
+            cfg.nranks, prog, timeout=120.0, transport=cfg.transport
+        )
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize(
+        "profile,trace", [(True, False), (False, True), (True, True)]
+    )
+    def test_views_agree_and_leave_physics_bitwise(self, topology, profile, trace):
+        topo = self.TOPOLOGIES[topology]
+        bare = self._run(topo, profile=False, trace=False)
+        seen = self._run(topo, profile=profile, trace=trace)
+        for (ref, e_ref), (rep, e_rep) in zip(bare, seen):
+            assert ref.profiler is None and ref.tracer is None
+            assert np.array_equal(e_ref, e_rep)
+            assert [s.iterations for s in rep.steps] == [
+                s.iterations for s in ref.steps
+            ]
+            assert rep.final_energy == ref.final_energy
+            assert rep.counters.snapshot() == ref.counters.snapshot()
+            assert (rep.profiler is not None) == profile
+            assert (rep.tracer is not None) == trace
+            if trace:
+                assert validate_trace(rep.tracer.to_payload()) == []
+                assert rep.tracer.ranks() == [rep.rank]
+            if profile:
+                assert rep.profiler.flat(rank=rep.rank)["BiCGSTAB"][2] == (
+                    3 * CFG["nsteps"]
+                )
+            if profile and trace:
+                flat = rep.profiler.flat(rank=rep.rank)
+                spans = rep.tracer.summary()["spans"]
+                shared = set(flat) & set(spans)
+                assert {"MATVEC", "PRECOND", "BiCGSTAB", "build_system",
+                        "halo_exchange", "solve_site_1"} <= shared
+                for name in shared:
+                    assert flat[name][2] == spans[name]["count"], name
+                # Timeline-only vocabulary stays out of the profile.
+                assert "step" in spans and "step" not in flat
+
+    def test_trace_nesting_survives_a_raising_region(self):
+        from repro.monitor import Profiler
+
+        tr = Tracer(rank=1)
+        prof = Profiler(tracer=tr, rank=1)
+        with pytest.raises(RuntimeError):
+            with prof.region("outer", cat="sim"):
+                with prof.region("inner", cat="kernel", args={"k": 1}):
+                    raise RuntimeError("boom")
+        with prof.region("after"):
+            pass
+        assert validate_trace(tr.to_payload()) == []
+        assert [(e["name"], e["ph"]) for e in tr.events()] == [
+            ("outer", "B"), ("inner", "B"), ("inner", "E"), ("outer", "E"),
+            ("after", "B"), ("after", "E"),
+        ]
+        flat = prof.flat(rank=1)
+        assert {n: flat[n][2] for n in flat} == {"outer": 1, "inner": 1, "after": 1}
+        assert prof.active_regions() == []
