@@ -98,6 +98,11 @@ class StencilOperator(LinearOperator):
     tracer:
         Optional tracer handed to the internal halo exchanger, so the
         per-Matvec exchanges of decomposed solves land on the timeline.
+    work:
+        Ghost-padded (one layer) operand workspace to use instead of
+        allocating one.  Every :meth:`apply` overwrites all of it, so
+        operators that are never applied concurrently -- a system
+        operator and its SPAI preconditioner -- can share one.
     """
 
     def __init__(
@@ -107,6 +112,7 @@ class StencilOperator(LinearOperator):
         bc: BoundaryCondition | dict[str, BoundaryCondition] = BoundaryCondition.DIRICHLET0,
         cart: CartComm | None = None,
         tracer=None,
+        work: Field | None = None,
     ) -> None:
         self.coeffs = coeffs
         self.suite = suite if suite is not None else KernelSuite()
@@ -119,7 +125,14 @@ class StencilOperator(LinearOperator):
                 f"coefficients shape {(n1, n2)} does not match this rank's "
                 f"tile {cart.tile.shape}"
             )
-        self._work = Field(ns, (n1, n2), nghost=1)
+        if work is None:
+            work = Field(ns, (n1, n2), nghost=1)
+        elif (work.nspec, work.shape, work.nghost) != (ns, (n1, n2), 1):
+            raise ValueError(
+                f"workspace {work!r} does not fit {ns} species on {(n1, n2)} "
+                "zones with one ghost layer"
+            )
+        self._work = work
         self._halo = (
             HaloExchanger(cart, bc, tracer=tracer) if cart is not None else None
         )

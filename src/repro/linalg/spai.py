@@ -7,9 +7,12 @@ Smolarski & Saylor 2004).
 SPAI chooses M with a prescribed sparsity pattern (here: the pattern of
 A itself) minimizing ``||A M - I||_F`` column by column.  Each column
 is a tiny least-squares problem over the pattern; for a banded operator
-the normal equations are identical small dense systems gathered from
-the diagonals of ``S = A^T A``, so the whole construction vectorizes as
-one batched ``m x m`` solve (m = number of bands).
+its normal equations are an ``m x m`` Gram matrix (m = number of bands)
+read off the diagonals of ``S = A^T A``.  :func:`spai_bands` forms
+those diagonals as products of shifted band slices, holds entry
+``(a, b)`` of all n Gram matrices as one length-n array, and factors
+them together with an LDL^T whose every step is an array operation
+across the n columns -- no scatter, no masks, no per-column LAPACK.
 
 Crucially, the resulting M has the *same banded/stencil structure as
 A*, so applying the preconditioner is just another matrix-free stencil
@@ -29,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.grid.field import Field
 from repro.kernels.stencil import StencilCoefficients
 from repro.kernels.suite import KernelSuite
 from repro.linalg.banded import stencil_to_bands
@@ -113,65 +117,91 @@ def spai_bands(
     (offsets, mbands):
         The banded form of M minimizing ``||A M - I||_F`` columnwise
         over the pattern.
+
+    Notes
+    -----
+    Column j's unknowns are ``M[j + d, j]`` for the offsets ``d``; its
+    Gram matrix is the principal submatrix of ``S = A^T A`` on those
+    rows, and an unknown whose row lies outside the matrix is pinned to
+    zero by an identity row.  The Gram matrices are symmetric positive
+    semi-definite, so they are factored without pivoting; a pivot that
+    is not ``> 0`` in any column (zero, negative by rounding, or NaN)
+    means a singular system and triggers one retry with
+    ``ridge = 1e-10 * max(1, mean|diag A|)**2``.  A pivot that fails
+    with the ridge in place raises :class:`numpy.linalg.LinAlgError`.
     """
     offs = [int(o) for o in offsets]
     if sorted(offs) != sorted(-o for o in offs):
         raise ValueError("SPAI pattern requires a symmetric offset set")
-    m = len(offs)
     n = bands[0].shape[0]
     bmap = {o: np.asarray(b, dtype=float) for o, b in zip(offs, bands)}
+    srt = sorted(offs)
+    m = len(srt)
 
-    # S = A^T A, as diagonals at every pairwise offset difference.
-    idx = np.arange(n)
-    sdiags: dict[int, Array] = {}
-    for da, ba in bmap.items():
-        for db, bb in bmap.items():
-            e = db - da
-            u = idx + da
-            valid = (u >= 0) & (u < n)
-            contrib = ba[idx[valid]] * bb[idx[valid]]
-            sdiags.setdefault(e, np.zeros(n))
-            np.add.at(sdiags[e], u[valid], contrib)
+    def inside(lo: int, hi: int) -> tuple[int, int]:
+        """Index range whose shifts by ``lo <= hi`` both stay in ``[0, n)``."""
+        start = min(max(0, -lo), n)
+        return start, max(start, min(n, n - hi))
 
-    # Batched normal equations: for column j, unknowns are the pattern
-    # entries m_a at rows j + d_a.  Missing unknowns (rows outside the
-    # matrix) are pinned to zero via identity rows.
-    G = np.tile(np.eye(m), (n, 1, 1))
-    f = np.zeros((n, m))
-    j = np.arange(n)
-    valid = {a: (j + offs[a] >= 0) & (j + offs[a] < n) for a in range(m)}
-    for a in range(m):
-        f[valid[a], a] = bmap[offs[a]][j[valid[a]]]
-        for b in range(m):
-            e = offs[b] - offs[a]
-            mask = valid[a] & valid[b]
-            u = j[mask] + offs[a]
-            vals = sdiags[e][u]
-            G[mask, a, b] = vals
-        # Re-pin the diagonal for invalid unknowns (overwritten above
-        # only on valid rows, so the identity remains elsewhere).
+    # S = A^T A as diagonals sd[e][u] = S[u, u + e], e >= 0 only (S is
+    # symmetric).  Rows i of bands d_a <= d_b meet in column u = i + d_a.
+    sd: dict[int, Array] = {}
+    tmp = np.empty(n)
+    for a, da in enumerate(srt):
+        i0, i1 = inside(da, da)
+        for db in srt[a:]:
+            if db - da not in sd:
+                sd[db - da] = np.zeros(n)
+            np.multiply(bmap[da][i0:i1], bmap[db][i0:i1], out=tmp[i0:i1])
+            sd[db - da][i0 + da : i1 + da] += tmp[i0:i1]
 
-    if ridge > 0.0:
-        G += ridge * np.eye(m)
+    # Normal equations of column j: unknown a is M[j + d_a, j], so
+    # G[a, b][j] = S[j + d_a, j + d_b] and f[a][j] = A[j, j + d_a].  An
+    # unknown whose row falls outside the matrix keeps an identity row
+    # (and f = 0), which pins it to zero.  Upper triangle only, all n
+    # systems in one block.
+    block = np.zeros((m + m * (m + 1) // 2, n))
+    f = list(block[:m])
+    G = dict(zip(((a, b) for a in range(m) for b in range(a, m)), block[m:]))
+    for a, da in enumerate(srt):
+        j0, j1 = inside(da, da)
+        f[a][j0:j1] = bmap[da][j0:j1]
+        G[a, a][...] = 1.0
+        for b in range(a, m):
+            j0, j1 = inside(da, srt[b])
+            G[a, b][j0:j1] = sd[srt[b] - da][j0 + da : j1 + da]
+        G[a, a] += ridge
 
-    try:
-        sol = np.linalg.solve(G, f[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if ridge > 0.0:
-            raise
-        scale = float(np.mean(np.abs(bmap[0]))) if 0 in bmap else 1.0
-        return spai_bands(offsets, bands, ridge=1e-10 * max(scale, 1.0) ** 2)
+    # In-place LDL^T of all n Gram matrices at once (G[k, i], i > k,
+    # becomes L[i][k]; G[k, k] the pivot), forward substitution fused in.
+    for k in range(m):
+        if not np.all(G[k, k] > 0.0):
+            # Singular (or NaN) somewhere: what LAPACK's LinAlgError was.
+            if ridge > 0.0:
+                raise np.linalg.LinAlgError("SPAI Gram matrix singular despite ridge")
+            scale = float(np.mean(np.abs(bmap[0]))) if 0 in bmap else 1.0
+            # ``scale > 1`` is False for NaN too: the retry always has ridge > 0.
+            return spai_bands(
+                offsets, bands, ridge=1e-10 * scale**2 if scale > 1.0 else 1e-10
+            )
+        for i in range(k + 1, m):
+            lik = G[k, i] / G[k, k]
+            for c in range(i, m):
+                G[i, c] -= np.multiply(lik, G[k, c], out=tmp)
+            f[i] -= np.multiply(lik, f[k], out=tmp)
+            G[k, i] = lik
+    for k in range(m - 1, -1, -1):
+        f[k] /= G[k, k]
+        for i in range(k + 1, m):
+            f[k] -= np.multiply(G[k, i], f[i], out=tmp)
 
-    # Scatter columns of M back into bands: M[u, u+o] with o = -d_a,
-    # column j = u + o, value sol[j, a].
+    # Column j's unknown for offset d is M[j + d, j]: row-indexed band
+    # -d of M, read at u = j + d.
     mbands: list[Array] = []
     for o in offs:
-        a = offs.index(-o)
+        u0, u1 = inside(o, o)
         band = np.zeros(n)
-        # Row-indexed: band[u] = M[u, u+o]; column j = u + o, so u = j - o.
-        u = j - o
-        ok = (u >= 0) & (u < n)
-        band[u[ok]] = sol[j[ok], a]
+        band[u0:u1] = f[srt.index(-o)][u0 + o : u1 + o]
         mbands.append(band)
     return offs, mbands
 
@@ -191,7 +221,8 @@ def bands_to_stencil(
     blk = nx1 * nx2
 
     def unflatten(flat: Array) -> Array:
-        return flat.reshape(ns, nx2, nx1).transpose(0, 2, 1).copy()
+        # A view: every use below copies it straight into ``c``.
+        return flat.reshape(ns, nx2, nx1).transpose(0, 2, 1)
 
     coupled = any(abs(o) >= blk and o != 0 for o in offsets)
     c = StencilCoefficients.zeros(ns, nx1, nx2, coupled=coupled)
@@ -219,12 +250,23 @@ def bands_to_stencil(
 
 
 class SPAIPreconditioner(Preconditioner):
-    """Stencil-pattern SPAI applied as a matrix-free stencil Matvec."""
+    """Stencil-pattern SPAI applied as a matrix-free stencil Matvec.
 
-    def __init__(self, mcoeffs: StencilCoefficients, suite: KernelSuite | None = None) -> None:
+    ``work`` is handed to the internal :class:`StencilOperator`: the
+    ghost-padded workspace of the system operator this preconditions
+    can serve both (they are applied one after the other).
+    """
+
+    def __init__(
+        self,
+        mcoeffs: StencilCoefficients,
+        suite: KernelSuite | None = None,
+        work: Field | None = None,
+    ) -> None:
         self.suite = suite if suite is not None else KernelSuite()
         self._op = StencilOperator(
-            mcoeffs, suite=self.suite, bc=BoundaryCondition.DIRICHLET0, cart=None
+            mcoeffs, suite=self.suite, bc=BoundaryCondition.DIRICHLET0, cart=None,
+            work=work,
         )
         self.mcoeffs = mcoeffs
 
@@ -234,13 +276,14 @@ class SPAIPreconditioner(Preconditioner):
         coeffs: StencilCoefficients,
         bc: BoundaryCondition | dict[str, BoundaryCondition] = BoundaryCondition.DIRICHLET0,
         suite: KernelSuite | None = None,
+        work: Field | None = None,
     ) -> "SPAIPreconditioner":
         """Build SPAI for the (tile-local) operator-with-BCs."""
         offsets, bands = stencil_to_bands(coeffs, bc)
         moffs, mbands = spai_bands(offsets, bands)
         ns, (n1, n2) = coeffs.nspec, coeffs.shape
         mcoeffs = bands_to_stencil(moffs, mbands, ns, n1, n2)
-        return cls(mcoeffs, suite=suite)
+        return cls(mcoeffs, suite=suite, work=work)
 
     def apply(self, x: Array, out: Array | None = None) -> Array:
         return self._op.apply(x, out=out)

@@ -28,6 +28,8 @@ the names the Sec. II-E breakdown uses (``MATVEC``, ``PRECOND``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -81,11 +83,23 @@ class _ProfiledOperator(LinearOperator):
 
 
 class _ProfiledPreconditioner(Preconditioner):
-    def __init__(self, M: Preconditioner, profiler: Profiler) -> None:
-        self._M = M
+    """Build ``M`` on the first apply of a solve; every apply is a region.
+
+    BiCGSTAB returns before touching ``M`` when the initial guess
+    already meets the tolerance, so a solve that never iterates never
+    pays for the set-up.  Once built, ``M`` serves the rest of that
+    solve, escalation rungs included.
+    """
+
+    def __init__(self, build: Callable[[], Preconditioner], profiler: Profiler) -> None:
+        self._build = build
+        self._M: Preconditioner | None = None
         self._profiler = profiler
 
     def apply(self, x: Array, out: Array | None = None) -> Array:
+        if self._M is None:
+            with self._profiler.region("PRECOND_SETUP", cat="solver"):
+                self._M = self._build()
         with self._profiler.region("PRECOND", cat="kernel"):
             return self._M.apply(x, out=out)
 
@@ -209,6 +223,13 @@ class RadiationIntegrator:
 
         n1, n2 = mesh.shape
         self.E = Field(basis.ncomp, (n1, n2), nghost=1)
+        # Per-step scratch kept across steps: the old-time field, the
+        # ghost-padded provisional field the corrector and coupling
+        # systems are built from, and the operand workspace each solve's
+        # operator shares with its SPAI operator.
+        self._e_old = np.empty((basis.ncomp, n1, n2))
+        self._work = Field(basis.ncomp, (n1, n2), nghost=1)
+        self._op_work = Field(basis.ncomp, (n1, n2), nghost=1)
         self.rho = np.ones((n1, n2))
         self.temp = np.ones((n1, n2))
         self.time = 0.0
@@ -268,22 +289,26 @@ class RadiationIntegrator:
             )
 
     def _make_preconditioner(self, system: RadiationSystem) -> Preconditioner:
+        build: Callable[[], Preconditioner]
         if self.precond_name == "spai":
-            M: Preconditioner = SPAIPreconditioner.from_stencil(
-                system.coeffs, bc=BoundaryCondition.DIRICHLET0, suite=self.suite
+            build = partial(
+                SPAIPreconditioner.from_stencil, system.coeffs,
+                bc=BoundaryCondition.DIRICHLET0, suite=self.suite, work=self._op_work,
             )
         elif self.precond_name == "jacobi":
-            M = JacobiPreconditioner.from_stencil(system.coeffs, suite=self.suite)
+            build = partial(
+                JacobiPreconditioner.from_stencil, system.coeffs, suite=self.suite
+            )
         else:
-            M = IdentityPreconditioner()
-        return _ProfiledPreconditioner(M, self.profiler)
+            build = IdentityPreconditioner
+        return _ProfiledPreconditioner(build, self.profiler)
 
     def _solve(self, system: RadiationSystem, x0: Array, site: int) -> SolveResult:
         tracer = self.profiler.tracer
         op: LinearOperator = _ProfiledOperator(
             StencilOperator(
                 system.coeffs, suite=self.suite, bc=self.bc, cart=self.cart,
-                tracer=tracer,
+                tracer=tracer, work=self._op_work,
             ),
             self.profiler,
             "MATVEC",
@@ -415,7 +440,8 @@ class RadiationIntegrator:
         if dt <= 0:
             raise ValueError("dt must be positive")
         report = StepReport(step=self.step_count + 1, time=self.time + dt, dt=dt)
-        e_old = self.E.interior.copy()
+        e_old = self._e_old
+        e_old[...] = self.E.interior
 
         # --- Solve 1: predictor (D from E^n) --------------------------
         self._fill_ghosts(self.E)
@@ -425,7 +451,7 @@ class RadiationIntegrator:
         e_star = self._guard_solution(res1, site=1)
 
         # --- Solve 2: corrector (D from E*, RHS still from E^n) -------
-        work = Field(self.basis.ncomp, self.mesh.shape, nghost=1)
+        work = self._work
         work.interior = e_star
         self._fill_ghosts(work)
         sys2 = self._build(work.data, dt, self.temp, e_rhs=e_old)

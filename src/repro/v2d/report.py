@@ -100,6 +100,10 @@ class RunReport:
             for label, frac in (
                 ("Matvec", self.matvec_fraction()),
                 ("BiCGSTAB", self.bicgstab_fraction()),
+                (
+                    "Preconditioner set-up",
+                    self.profiler.inclusive_fraction("PRECOND_SETUP", rank=self.rank),
+                ),
             ):
                 if frac > 0:
                     lines.append(

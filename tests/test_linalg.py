@@ -24,7 +24,7 @@ from repro.linalg import (
 )
 from repro.monitor import Counters
 from repro.parallel import BoundaryCondition
-from repro.testing import diffusion_coeffs
+from repro.testing import banded_system, diffusion_coeffs
 
 RNG = np.random.default_rng(3)
 
@@ -421,3 +421,83 @@ class TestPreconditioners:
         M = SPAIPreconditioner.from_stencil(coeffs, bc=BoundaryCondition.REFLECT)
         res = bicgstab(op, b, tol=1e-10, M=M)
         assert res.converged
+
+
+# ---------------------------------------------------------------------------
+# SPAI against a brute-force reference (no code shared with spai_bands)
+# ---------------------------------------------------------------------------
+def _dense(offsets, bands):
+    n = bands[0].shape[0]
+    A = np.zeros((n, n))
+    for off, band in zip(offsets, bands):
+        for i in range(max(0, -off), min(n, n - off)):
+            A[i, i + off] = band[i]
+    return A
+
+
+def _spai_oracle(offsets, bands):
+    """``argmin ||A m_j - e_j||`` over the pattern rows, column by column."""
+    A = _dense(offsets, bands)
+    n = A.shape[0]
+    M = np.zeros((n, n))
+    for j in range(n):
+        rows = [j + off for off in offsets if 0 <= j + off < n]
+        M[rows, j] = np.linalg.lstsq(A[:, rows], np.eye(n)[j], rcond=None)[0]
+    return M
+
+
+def _spai_case(name):
+    if name == "banded-1d":
+        op = BandedOperator(*banded_system(n=60, band_offset=9)[:2])
+        return list(op.offsets), op.bands
+    ns, bc = {
+        "dirichlet": (1, BoundaryCondition.DIRICHLET0),
+        "reflect": (1, BoundaryCondition.REFLECT),
+        "coupled-ns2": (2, BoundaryCondition.DIRICHLET0),
+        "coupled-ns3": (3, BoundaryCondition.DIRICHLET0),
+    }[name]
+    return stencil_to_bands(diffusion_coeffs(ns=ns, n1=6, n2=5, coupled=ns > 1), bc)
+
+
+class TestSPAIOracle:
+    @pytest.mark.parametrize(
+        "case", ["dirichlet", "reflect", "coupled-ns2", "coupled-ns3", "banded-1d"]
+    )
+    def test_matches_columnwise_least_squares(self, case):
+        offsets, bands = _spai_case(case)
+        moffs, mbands = spai_bands(offsets, bands)
+        assert list(moffs) == list(offsets)
+        np.testing.assert_allclose(
+            _dense(moffs, mbands), _spai_oracle(offsets, bands), rtol=1e-11, atol=1e-15
+        )
+
+    def test_ns3_merges_duplicate_coupling_offsets(self):
+        # s=0->1 and s=1->2 share offset +blk: one band, nine in all.
+        offsets, _ = _spai_case("coupled-ns3")
+        assert len(offsets) == len(set(offsets)) == 9
+
+    def test_singular_column_takes_the_ridge(self):
+        # Column 7 of A all zero: every Gram matrix with row 7 among its
+        # unknowns is singular, which must trigger the ridge retry, not
+        # a NaN.  Columns whose pattern avoids row 7 keep their exact
+        # least-squares answer up to the ridge (1e-10 relative).
+        offsets, bands = _spai_case("banded-1d")
+        n = bands[0].shape[0]
+        for off, band in zip(offsets, bands):
+            if 0 <= 7 - off < n:
+                band[7 - off] = 0.0
+        assert not _dense(offsets, bands)[:, 7].any()
+        moffs, mbands = spai_bands(offsets, bands)
+        M = _dense(moffs, mbands)
+        assert np.all(np.isfinite(M))
+        untouched = [j for j in range(n) if all(j + off != 7 for off in offsets)]
+        np.testing.assert_allclose(
+            M[:, untouched], _spai_oracle(offsets, bands)[:, untouched],
+            rtol=1e-7, atol=1e-12,
+        )
+
+    def test_singular_despite_ridge_raises(self):
+        offsets, bands = _spai_case("banded-1d")
+        bands[offsets.index(0)][5] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            spai_bands(offsets, bands)

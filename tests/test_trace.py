@@ -379,8 +379,8 @@ class TestOneSpanSource:
                 flat = rep.profiler.flat(rank=rep.rank)
                 spans = rep.tracer.summary()["spans"]
                 shared = set(flat) & set(spans)
-                assert {"MATVEC", "PRECOND", "BiCGSTAB", "build_system",
-                        "halo_exchange", "solve_site_1"} <= shared
+                assert {"MATVEC", "PRECOND", "PRECOND_SETUP", "BiCGSTAB",
+                        "build_system", "halo_exchange", "solve_site_1"} <= shared
                 for name in shared:
                     assert flat[name][2] == spans[name]["count"], name
                 # Timeline-only vocabulary stays out of the profile.

@@ -412,6 +412,34 @@ class TestRadiationIntegrator:
             assert region in flat, f"missing {region}"
         assert flat["BiCGSTAB"][2] == 3  # three call sites per step
 
+    def test_precond_setup_region_counts_the_solves_that_iterate(self):
+        prof = Profiler()
+        integ, _ = self._make(profiler=prof)
+        report = integ.step(0.005)
+        iterating = sum(s.iterations > 0 for s in report.solves)
+        assert 0 < iterating
+        flat = prof.flat()
+        assert flat["PRECOND_SETUP"][2] == iterating
+        assert flat["PRECOND_SETUP"][0] <= flat["BiCGSTAB"][0]
+        # Unprofiled and untraced, the region is the shared no-op.
+        bare, _ = self._make()
+        assert bare.profiler.region("PRECOND_SETUP") is bare.profiler.region("MATVEC")
+
+    def test_jacobi_zero_diagonal_surfaces_from_the_first_iterating_solve(
+        self, monkeypatch
+    ):
+        import repro.transport.integrator as integrator_module
+
+        def singular(*args, **kwargs):
+            system = build_radiation_system(*args, **kwargs)
+            system.coeffs.diag[0, 0, 0] = 0.0
+            return system
+
+        monkeypatch.setattr(integrator_module, "build_radiation_system", singular)
+        integ, _ = self._make(precond="jacobi")
+        with pytest.raises(ValueError, match="nonzero diagonal"):
+            integ.step(0.005)
+
     def test_spai_precond_path(self):
         integ, _ = self._make(precond="spai")
         report = integ.step(0.005)
