@@ -26,21 +26,22 @@ the paper-vs-measured record of every table and figure.
 
 __version__ = "1.0.0"
 
-from repro.backend import (
-    Backend,
-    JitBackend,
-    ScalarBackend,
-    VectorBackend,
-    available_backends,
-    get_backend,
-    numba_available,
-    set_default_backend,
-    use_backend,
-)
-from repro.grid import Field, Mesh2D, Tile, TileDecomposition
-from repro.kernels import KernelDriver, KernelSuite
-from repro.monitor import Counters, Profiler, perf_stat
-from repro.parallel import CartComm, Communicator, HaloExchanger, run_spmd
+from repro._lazy import lazy_exports
+
+# Names resolve on first use (PEP 562): ``import repro`` loads no NumPy,
+# and ``python -m repro`` pays only for what the chosen verb imports.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".backend": (
+        "Backend", "ScalarBackend", "VectorBackend", "JitBackend", "numba_available",
+        "get_backend", "use_backend", "set_default_backend", "available_backends",
+    ),
+    ".grid": ("Mesh2D", "Field", "Tile", "TileDecomposition"),
+    ".kernels": ("KernelSuite", "KernelDriver"),
+    ".monitor": ("Counters", "Profiler", "perf_stat"),
+    ".parallel": ("Communicator", "CartComm", "HaloExchanger", "run_spmd"),
+    ".problems": ("GaussianPulseProblem",),
+    ".v2d": ("Simulation", "V2DConfig"),
+})
 
 __all__ = [
     "__version__",
@@ -66,12 +67,7 @@ __all__ = [
     "CartComm",
     "HaloExchanger",
     "run_spmd",
+    "GaussianPulseProblem",
+    "Simulation",
+    "V2DConfig",
 ]
-
-try:  # high-level simulation API (depends on every substrate)
-    from repro.problems import GaussianPulseProblem  # noqa: F401
-    from repro.v2d import Simulation, V2DConfig  # noqa: F401
-
-    __all__ += ["GaussianPulseProblem", "Simulation", "V2DConfig"]
-except ImportError:  # pragma: no cover - only during bootstrap
-    pass

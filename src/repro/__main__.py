@@ -26,7 +26,10 @@ logging to stderr) -- the flags are attached globally in :func:`main`.
 from __future__ import annotations
 
 import argparse
+import importlib
+import os
 import sys
+from typing import Callable
 
 
 def _parse_inject(spec: str | None) -> dict[str, float]:
@@ -374,73 +377,47 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_cmd(name: str):
-    def run(_args: argparse.Namespace) -> int:
-        from repro.perfmodel import (
-            breakdown_report,
-            dilution_report,
-            table1_report,
-            table2_report,
-        )
-        from repro.perfmodel.calibrate import calibration_report
+def _cmd_report(args: argparse.Namespace) -> int:
+    name = args.command
+    if name == "fig1":
+        from repro.linalg import pattern_report
 
-        if name == "fig1":
-            from repro.linalg import pattern_report
-
-            print(pattern_report(200, 100, 2))
-            return 0
-        if name == "roofline":
-            from repro.perfmodel import RooflineModel
-
-            print(RooflineModel().report())
-            return 0
-        fn = {
-            "table1": table1_report,
-            "table2": table2_report,
-            "breakdown": breakdown_report,
-            "dilution": dilution_report,
-            "calibration": calibration_report,
-        }[name]
-        print(fn())
+        print(pattern_report(200, 100, 2))
         return 0
+    if name == "roofline":
+        from repro.perfmodel import RooflineModel
 
-    return run
-
-
-class _VersionAction(argparse.Action):
-    """``--version`` with the git fingerprint resolved only on demand
-    (running git on every CLI invocation would be wasted work)."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from repro.perf.schema import version_string
-
-        print(f"{parser.prog} {version_string()}")
-        parser.exit()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="V2D / SVE study reproduction"
+        print(RooflineModel().report())
+        return 0
+    from repro.perfmodel import (
+        breakdown_report,
+        dilution_report,
+        table1_report,
+        table2_report,
     )
-    parser.add_argument(
-        "--version", action=_VersionAction,
-        help="show version, git revision and dirty flag",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    from repro.perfmodel.calibrate import calibration_report
 
-    for name in ("table1", "table2", "breakdown", "dilution", "calibration",
-                 "fig1", "roofline"):
-        p = sub.add_parser(name, help=f"print the {name} report")
-        p.set_defaults(fn=_report_cmd(name))
+    fn = {
+        "table1": table1_report,
+        "table2": table2_report,
+        "breakdown": breakdown_report,
+        "dilution": dilution_report,
+        "calibration": calibration_report,
+    }[name]
+    print(fn())
+    return 0
 
-    p = sub.add_parser("scaling", help="future-work scaling projection")
+
+def _build_report(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(fn=_cmd_report)
+
+
+def _build_scaling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=int, default=2)
     p.set_defaults(fn=_cmd_scaling)
 
-    p = sub.add_parser("run", help="run the Gaussian-pulse problem")
+
+def _build_run(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     p.add_argument("--classic", action="store_true",
                    help="textbook BiCGSTAB instead of ganged reductions")
@@ -458,25 +435,23 @@ def main(argv: list[str] | None = None) -> int:
     _add_resilience_flags(p)
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser(
-        "trace",
-        help="traced Gaussian-pulse run exporting a Perfetto timeline",
-    )
+
+def _build_trace(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     p.add_argument("--output", default="trace.json",
                    help="trace artifact path (default: trace.json)")
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser(
-        "chaos", help="seeded fault-injection sweep vs a clean baseline"
-    )
+
+def _build_chaos(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p, nx1=32, nx2=16, nsteps=6, precond="jacobi")
     p.add_argument("--error-margin", type=float, default=1e-3,
                    help="absolute slack allowed over the baseline error")
     _add_resilience_flags(p)
     p.set_defaults(fn=_cmd_chaos)
 
-    p = sub.add_parser("driver", help="the Sec. II-F kernel driver")
+
+def _build_driver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--ranks", type=int, default=1,
@@ -485,25 +460,73 @@ def main(argv: list[str] | None = None) -> int:
     _add_transport_flag(p)
     p.set_defaults(fn=_cmd_driver)
 
-    from repro.campaign.cli import add_campaign_parser
+
+#: Every verb, in the order ``repro --help`` lists them: its help line
+#: and what adds its arguments and sets ``fn`` -- a function here, or
+#: ``"module:function"`` for a verb that lives in its own package.  Only
+#: the verb being run is built, so a verb's module is imported only when
+#: that verb runs.
+VERBS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None] | str]] = {
+    **{name: (f"print the {name} report", _build_report)
+       for name in ("table1", "table2", "breakdown", "dilution", "calibration",
+                    "fig1", "roofline")},
+    "scaling": ("future-work scaling projection", _build_scaling),
+    "run": ("run the Gaussian-pulse problem", _build_run),
+    "trace": ("traced Gaussian-pulse run exporting a Perfetto timeline", _build_trace),
+    "chaos": ("seeded fault-injection sweep vs a clean baseline", _build_chaos),
+    "driver": ("the Sec. II-F kernel driver", _build_driver),
+    "campaign": ("run scaling-study campaigns with a content-addressed cache",
+                 "repro.campaign.cli:add_campaign_parser"),
+    "perf": ("performance ledger: run, attribute, gate", "repro.perf.cli:add_perf_parser"),
+    "serve": ("run the simulation-as-a-service job server",
+              "repro.serve.cli:add_serve_parser"),
+    "submit": ("submit and manage jobs on a running serve instance",
+               "repro.serve.cli:add_submit_parser"),
+    "top": ("live telemetry view over a serve instance or sampler file",
+            "repro.monitor.top:add_top_parser"),
+}
+
+
+class _VersionAction(argparse.Action):
+    """``--version`` with the git fingerprint resolved only on demand
+    (running git on every CLI invocation would be wasted work)."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro.perf.schema import version_string
+
+        print(f"{parser.prog} {version_string()}")
+        parser.exit()
+
+
+def main(argv: list[str] | None = None) -> int:
     from repro.monitor.log import add_logging_flags, configure_from_args
-    from repro.monitor.top import add_top_parser
-    from repro.perf.cli import add_perf_parser
-    from repro.serve.cli import add_serve_parser, add_submit_parser
 
-    add_campaign_parser(sub)
-    add_perf_parser(sub)
-    add_serve_parser(sub)
-    add_submit_parser(sub)
-    add_top_parser(sub)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = argparse.ArgumentParser(
+        prog="repro", description="V2D / SVE study reproduction"
+    )
+    parser.add_argument(
+        "--version", action=_VersionAction,
+        help="show version, git revision and dirty flag",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    # Structured-logging flags ride on every verb (aliases share parser
-    # objects, so dedupe by identity before attaching).
-    seen: set[int] = set()
-    for verb in sub.choices.values():
-        if id(verb) not in seen:
-            seen.add(id(verb))
-            add_logging_flags(verb)
+    # The top-level options take no value, so the first bare word is
+    # the verb.  Every verb gets a parser for ``repro --help`` to list;
+    # only that one gets its arguments.
+    verb = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_text, build) in VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == verb:
+            if isinstance(build, str):
+                module, _, attr = build.partition(":")
+                build = getattr(importlib.import_module(module), attr)
+            build(p)
+            # Structured-logging flags ride on every verb.
+            add_logging_flags(p)
 
     args = parser.parse_args(argv)
     configure_from_args(args)
@@ -521,5 +544,17 @@ def main(argv: list[str] | None = None) -> int:
         raise
 
 
+def _pin_blas_threads() -> None:
+    """One BLAS thread unless the user chose otherwise.
+
+    Runs before anything imports NumPy, which reads these once at load.
+    A second BLAS thread spinning beside a serial run's NumPy calls has
+    been seen to make MATVEC many times slower.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+
+
 if __name__ == "__main__":
+    _pin_blas_threads()
     sys.exit(main())

@@ -24,20 +24,18 @@ summation order.  Only the execution strategy differs, which is
 precisely the SVE-on/SVE-off contract.
 """
 
-from repro.backend.base import Backend
-from repro.backend.dispatch import (
-    FUSED_PRIMITIVES,
-    available_backends,
-    default_backend,
-    get_backend,
-    native_fused_ops,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.backend.jit import JitBackend, numba_available
-from repro.backend.scalar import ScalarBackend
-from repro.backend.vector import VectorBackend
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("Backend",),
+    ".dispatch": (
+        "FUSED_PRIMITIVES", "available_backends", "default_backend", "get_backend",
+        "native_fused_ops", "register_backend", "set_default_backend", "use_backend",
+    ),
+    ".jit": ("JitBackend", "numba_available"),
+    ".scalar": ("ScalarBackend",),
+    ".vector": ("VectorBackend",),
+})
 
 __all__ = [
     "Backend",

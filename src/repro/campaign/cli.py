@@ -162,14 +162,10 @@ def cmd_clean(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
-    """Wire the ``campaign`` subcommand tree onto the main parser."""
-    p = sub.add_parser(
-        "campaign",
-        help="run scaling-study campaigns with a content-addressed cache",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+def add_campaign_parser(p: argparse.ArgumentParser) -> None:
+    """Wire the ``campaign`` subcommand tree onto its verb parser."""
+    p.description = __doc__
+    p.formatter_class = argparse.RawDescriptionHelpFormatter
     verbs = p.add_subparsers(dest="verb", required=True)
 
     def common(vp: argparse.ArgumentParser) -> None:

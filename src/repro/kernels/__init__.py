@@ -16,15 +16,14 @@ Matvec used by the full code; :mod:`repro.kernels.driver` is the
 single-processor driver program of Sec. II-F.
 """
 
-from repro.kernels.fused import SolverWorkspace
-from repro.kernels.stencil import MultiSpeciesStencil, StencilCoefficients
-from repro.kernels.suite import KernelSuite
-from repro.kernels.driver import (
-    DriverResult,
-    KernelDriver,
-    SpmdDriverResult,
-    run_driver_spmd,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".fused": ("SolverWorkspace",),
+    ".stencil": ("MultiSpeciesStencil", "StencilCoefficients"),
+    ".suite": ("KernelSuite",),
+    ".driver": ("DriverResult", "KernelDriver", "SpmdDriverResult", "run_driver_spmd"),
+})
 
 __all__ = [
     "KernelSuite",

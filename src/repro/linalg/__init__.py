@@ -20,39 +20,31 @@
   hardware.
 """
 
-from repro.linalg.banded import (
-    assemble_csr,
-    assemble_dense,
-    band_offsets,
-    pattern_report,
-    sparsity_block,
-    stencil_to_bands,
-)
-from repro.linalg.bicgstab import (
-    REDUCTIONS_PER_ITER_CLASSIC,
-    REDUCTIONS_PER_ITER_GANGED,
-    DotContext,
-    SolveResult,
-    bicgstab,
-)
-from repro.linalg.cg import conjugate_gradient
+from repro._lazy import lazy_exports
+
+# ``bicgstab`` and ``gmres`` each name a module and its function.  Once
+# anything imports the module it becomes the package attribute, which a
+# lazy name would never override, so these two are bound here.
+from repro.linalg.bicgstab import bicgstab
 from repro.linalg.gmres import gmres
-from repro.linalg.ilu import ILU0Factorization, ILU0Preconditioner, ilu0_banded
-from repro.linalg.operators import (
-    BandedOperator,
-    IdentityOperator,
-    LinearOperator,
-    StencilOperator,
-)
-from repro.linalg.spai import (
-    BandedSPAIPreconditioner,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-    Preconditioner,
-    SPAIPreconditioner,
-    bands_to_stencil,
-    spai_bands,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".banded": (
+        "assemble_csr", "assemble_dense", "band_offsets", "pattern_report",
+        "sparsity_block", "stencil_to_bands",
+    ),
+    ".bicgstab": (
+        "REDUCTIONS_PER_ITER_CLASSIC", "REDUCTIONS_PER_ITER_GANGED", "DotContext",
+        "SolveResult",
+    ),
+    ".cg": ("conjugate_gradient",),
+    ".ilu": ("ILU0Factorization", "ILU0Preconditioner", "ilu0_banded"),
+    ".operators": ("BandedOperator", "IdentityOperator", "LinearOperator", "StencilOperator"),
+    ".spai": (
+        "BandedSPAIPreconditioner", "IdentityPreconditioner", "JacobiPreconditioner",
+        "Preconditioner", "SPAIPreconditioner", "bands_to_stencil", "spai_bands",
+    ),
+})
 
 __all__ = [
     "LinearOperator",

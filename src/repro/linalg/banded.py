@@ -21,11 +21,15 @@ species coupling at ``+/-k*nx1*nx2``.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels.stencil import StencilCoefficients
 from repro.parallel.halo import BoundaryCondition
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Array = np.ndarray
 
@@ -136,6 +140,10 @@ def assemble_csr(
     bc: BoundaryCondition | dict[str, BoundaryCondition] = BoundaryCondition.DIRICHLET0,
 ) -> sp.csr_matrix:
     """Assemble the full sparse matrix (validation / SPAI setup)."""
+    # SciPy is imported here, not at module level: the run path imports
+    # this module for ``stencil_to_bands`` and never assembles.
+    import scipy.sparse as sp
+
     offsets, bands = stencil_to_bands(coeffs, bc)
     n = bands[0].shape[0]
     diags = []

@@ -27,28 +27,21 @@ instrumentation that exposes the *same quantities*: wall/CPU seconds per
 region, event counts per routine, and percent-of-total attributions.
 """
 
-from repro.monitor.counters import Counters, EventSet, PAPI_EVENTS
-from repro.monitor.flight import FlightRecorder, dump_bundle, read_bundle
-from repro.monitor.log import bind_context, configure_logging, get_logger
-from repro.monitor.profiler import Profiler, ProfileNode
-from repro.monitor.sampler import SampleReport, SamplingProfiler
-from repro.monitor.timers import PerfStatResult, perf_stat
-from repro.monitor.telemetry import (
-    Histogram,
-    Telemetry,
-    parse_openmetrics,
-    render_openmetrics,
-)
-from repro.monitor.trace import (
-    MetricsRegistry,
-    TRACE_SCHEMA,
-    Tracer,
-    get_metrics,
-    merge_summaries,
-    merged_payload,
-    validate_trace,
-    write_trace,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".counters": ("Counters", "EventSet", "PAPI_EVENTS"),
+    ".flight": ("FlightRecorder", "dump_bundle", "read_bundle"),
+    ".log": ("bind_context", "configure_logging", "get_logger"),
+    ".profiler": ("Profiler", "ProfileNode"),
+    ".sampler": ("SampleReport", "SamplingProfiler"),
+    ".timers": ("PerfStatResult", "perf_stat"),
+    ".telemetry": ("Histogram", "Telemetry", "parse_openmetrics", "render_openmetrics"),
+    ".trace": (
+        "MetricsRegistry", "TRACE_SCHEMA", "Tracer", "get_metrics", "merge_summaries",
+        "merged_payload", "validate_trace", "write_trace",
+    ),
+})
 
 __all__ = [
     "FlightRecorder",

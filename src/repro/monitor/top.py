@@ -291,11 +291,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def add_top_parser(sub) -> None:
-    p = sub.add_parser(
-        "top", help="live telemetry view over a serve instance or "
-                    "sampler file"
-    )
+def add_top_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7070)
     p.add_argument("--timeout", type=float, default=10.0,

@@ -262,14 +262,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def add_perf_parser(sub: argparse._SubParsersAction) -> None:
-    """Wire the ``perf`` subcommand tree onto the main parser."""
-    p = sub.add_parser(
-        "perf",
-        help="performance ledger: run, attribute, gate",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+def add_perf_parser(p: argparse.ArgumentParser) -> None:
+    """Wire the ``perf`` subcommand tree onto its verb parser."""
+    p.description = __doc__
+    p.formatter_class = argparse.RawDescriptionHelpFormatter
     verbs = p.add_subparsers(dest="verb", required=True)
 
     def common(vp: argparse.ArgumentParser) -> None:

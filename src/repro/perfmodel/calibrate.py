@@ -43,7 +43,6 @@ Physical reading of the fitted coefficients:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.grid.decomposition import TileDecomposition
 from repro.perfmodel.paper_data import (
@@ -76,6 +75,8 @@ def fit_compiler(key: str) -> tuple[np.ndarray, float]:
     Returns the non-negative coefficient vector and the mean relative
     error of the fit over that compiler's published rows.
     """
+    from scipy.optimize import nnls
+
     feats, times = [], []
     for row in PAPER_TABLE1:
         t = row.time(key)

@@ -7,35 +7,19 @@
   (hydro-only workload, the kind V2D's supernova target implies).
 * :mod:`repro.problems.radiative_shock` -- a coupled hydro + radiation
   configuration exercising matter coupling.
+* :mod:`repro.problems.registry` -- :data:`PROBLEMS` and
+  :func:`get_problem`, the problems by name.
 """
 
-from repro.problems.base import Problem, ProblemState
-from repro.problems.gaussian_pulse import GaussianPulseProblem
-from repro.problems.radiative_shock import RadiativeShockProblem
-from repro.problems.sedov_blast import SedovBlastProblem
+from repro._lazy import lazy_exports
 
-#: Problems addressable by name (campaign specs, CLI flags).
-PROBLEMS: dict[str, type[Problem]] = {
-    GaussianPulseProblem.name: GaussianPulseProblem,
-    SedovBlastProblem.name: SedovBlastProblem,
-    RadiativeShockProblem.name: RadiativeShockProblem,
-}
-
-
-def get_problem(name: str) -> Problem:
-    """Instantiate the named test problem.
-
-    Accepts both the canonical hyphenated names (``gaussian-pulse``)
-    and underscore spellings (``gaussian_pulse``).
-    """
-    key = name.replace("_", "-")
-    try:
-        return PROBLEMS[key]()
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {name!r}; available: {sorted(PROBLEMS)}"
-        ) from None
-
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("Problem", "ProblemState"),
+    ".gaussian_pulse": ("GaussianPulseProblem",),
+    ".radiative_shock": ("RadiativeShockProblem",),
+    ".sedov_blast": ("SedovBlastProblem",),
+    ".registry": ("PROBLEMS", "get_problem"),
+})
 
 __all__ = [
     "Problem",

@@ -60,10 +60,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_serve_parser(sub) -> None:
-    p = sub.add_parser(
-        "serve", help="run the simulation-as-a-service job server"
-    )
+def add_serve_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7070,
                    help="TCP port (0 picks an ephemeral port)")
@@ -204,10 +201,7 @@ def _run_client_op(client, args: argparse.Namespace) -> int:
     return 0
 
 
-def add_submit_parser(sub) -> None:
-    p = sub.add_parser(
-        "submit", help="submit and manage jobs on a running serve instance"
-    )
+def add_submit_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7070)
     p.add_argument("--timeout", type=float, default=300.0,

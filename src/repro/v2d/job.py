@@ -17,7 +17,6 @@ from typing import Any
 
 from repro.monitor.counters import Counters
 from repro.monitor.trace import merge_summaries
-from repro.problems import get_problem
 from repro.v2d.config import V2DConfig
 from repro.v2d.report import RunReport
 from repro.v2d.simulation import run_parallel
@@ -56,6 +55,10 @@ def run_job(
         wall-clock measurements.  Exceptions propagate; the campaign
         worker is the layer that converts them into failure records.
     """
+    # The by-name registry imports every problem, hydro included; the
+    # run path imports only the problem it is handed.
+    from repro.problems import get_problem
+
     cfg = config if isinstance(config, V2DConfig) else V2DConfig.from_dict(config)
     prob = get_problem(problem)
     kwargs = {} if timeout is None else {"timeout": timeout}

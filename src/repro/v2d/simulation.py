@@ -12,13 +12,12 @@ launches one Simulation per rank over the SPMD substrate -- the
 from __future__ import annotations
 
 from contextlib import nullcontext
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.backend.dispatch import get_backend
 from repro.grid.mesh import Mesh2D
-from repro.hydro.eos import IdealGasEOS
-from repro.hydro.solver import HydroBC, HydroSolver2D
 from repro.io.checkpoint import CheckpointWriteError, save_checkpoint
 from repro.kernels.suite import KernelSuite
 from repro.monitor import flight, telemetry
@@ -43,6 +42,9 @@ from repro.transport.groups import EnergyGroups, RadiationBasis
 from repro.transport.integrator import RadiationIntegrator, StepReport
 from repro.v2d.config import V2DConfig
 from repro.v2d.report import RunReport
+
+if TYPE_CHECKING:
+    from repro.hydro.solver import HydroSolver2D
 
 Array = np.ndarray
 
@@ -182,6 +184,11 @@ class Simulation:
         self.hydro: HydroSolver2D | None = None
         state = problem.initial_state(self.mesh, self.basis)
         if problem.uses_hydro:
+            # Imported here, at construction, so radiation-only runs
+            # never load the hydro package; no step imports anything.
+            from repro.hydro.eos import IdealGasEOS
+            from repro.hydro.solver import HydroBC, HydroSolver2D
+
             if state.hydro_primitive is None:
                 raise ValueError(f"problem {problem.name} uses hydro but gave no state")
             hydro_bc = (
